@@ -9,8 +9,8 @@ metric (or, with --trace 1, runs an untraced and a traced pass and reports
 per-layer metrics), then as its last line one JSON object with the keys
 correct, attempted, failed and metrics. ``--workload all`` runs each
 workload in a fresh process and ends with the cnn-n32 / cnn-n1 scaling
-line. Exit code: 0 when every output checked correct, 1 when one did not,
-2 when the benchmark could not run at all.
+line; it takes --trace 0 only. Exit code: 0 when every output checked
+correct, 1 when one did not, 2 when the benchmark could not run at all.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def run_one(args) -> int:
     report = result.pop("report", None)
     if report is not None:
         print(f"{args.workload} seed {args.seed}: {report['runs'][0]} runs, "
-              f"{report['timed_steps'][0]} timed steps")
+              f"{report['setup_probes'][0]} set-up probes, {report['timed_steps'][0]} timed steps")
         for name, (value, unit) in report.items():
             print(f"  {name:<20} {_fmt(value):>12} {unit}")
     elif result["metrics"]:
@@ -92,6 +92,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
+    if args.workload == "all" and args.trace:
+        # traced children print no step_ms_p50, so the scaling line would be lost
+        parser.error("--workload all takes --trace 0 only")
     for var in THREAD_VARS:
         os.environ[var] = "1"
     if not (SRC / "adacomp" / "__init__.py").is_file():

@@ -1,7 +1,7 @@
 """Self-tests of the benchmark: the tracer's self-time arithmetic, a short
 smoke run of every workload run.py offers, traced and untraced, checked
-against BENCHMARK.json, and a run without the program's sources, which must fail
-without printing a result.
+against BENCHMARK.json, and two runs that must fail without printing a
+result: one without the program's sources, one of ``all`` with tracing.
 
   python3 perfbench/selftest.py
 
@@ -96,8 +96,16 @@ def check_without_sources() -> list[str]:
     return []
 
 
+def check_all_untraced_only() -> list[str]:
+    """Traced children would print no step_ms_p50 for the scaling line."""
+    proc = run(ROOT, "all", 1)
+    if proc.returncode == 0 or proc.stdout.strip():
+        return [f"--workload all --trace 1: exit {proc.returncode}, stdout {proc.stdout!r}"]
+    return []
+
+
 def main() -> int:
-    problems = check_tracer() + check_without_sources()
+    problems = check_tracer() + check_without_sources() + check_all_untraced_only()
     listed = {w["name"] for w in SPEC["workloads"]}
     if not listed <= set(WORKLOADS):
         problems.append(f"BENCHMARK.json lists workloads run.py lacks: {listed - set(WORKLOADS)}")

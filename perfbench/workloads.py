@@ -60,38 +60,41 @@ TRAINING = {
 CODEC_LAYERS = ((1_048_576, 500), (262_144, 50))
 CODEC_POOL = 4          # gradient sets generated at set-up and cycled; the residue carries over
 CODEC_SETUPS = 3        # set-up is repeated and its median reported
+# set-up samples a training run gathers, spread evenly over its time; one
+# epoch of mlp-topk-n16 takes seconds, so its repetitions alone give too few
+SETUP_SAMPLES = 40
 
-# per-layer metric -> the span names whose self time per step it sums
+# per-layer metric -> the span whose self time per step it sums
 TIME_METRICS = {
-    "nn.forward_ms": ("nn.forward",),
-    "nn.backward_ms": ("nn.backward",),
-    "codec.pack_ms": ("codec.pack",),
-    "codec.unpack_ms": ("codec.unpack",),
-    "baselines.pack_ms": ("baselines.pack",),
-    "baselines.unpack_ms": ("baselines.unpack",),
-    "wire.payload_bits_ms": ("wire.payload_bits",),
-    "wire.encode_ms": ("wire.encode",),
-    "wire.decode_ms": ("wire.decode",),
-    "sim.sync_self_ms": ("sim.sync_step",),
-    "sim.evaluate_ms": ("sim.evaluate",),
-    "optim.update_ms": ("optim.update",),
-    "metrics.residue_p95_ms": ("metrics.residue_p95",),
-    "metrics.write_ms": ("metrics.write",),
-    "data.shard_ms": ("data.shard",),
-    "runner.self_ms": ("runner.run",),
+    "nn.forward_ms": "nn.forward",
+    "nn.backward_ms": "nn.backward",
+    "codec.pack_ms": "codec.pack",
+    "codec.unpack_ms": "codec.unpack",
+    "baselines.pack_ms": "baselines.pack",
+    "baselines.unpack_ms": "baselines.unpack",
+    "wire.payload_bits_ms": "wire.payload_bits",
+    "wire.encode_ms": "wire.encode",
+    "wire.decode_ms": "wire.decode",
+    "sim.sync_self_ms": "sim.sync_step",
+    "sim.evaluate_ms": "sim.evaluate",
+    "optim.update_ms": "optim.update",
+    "metrics.residue_p95_ms": "metrics.residue_p95",
+    "metrics.write_ms": "metrics.write",
+    "data.shard_ms": "data.shard",
+    "runner.self_ms": "runner.run",
 }
-# per-layer metric -> the span names whose calls per step it counts
+# per-layer metric -> the span whose calls per step it counts
 CALL_METRICS = {
-    "nn.calls": ("nn.forward", "nn.backward"),
-    "codec.pack_calls": ("codec.pack",),
-    "codec.unpack_calls": ("codec.unpack",),
-    "baselines.unpack_calls": ("baselines.unpack",),
-    "optim.update_calls": ("optim.update",),
+    "codec.pack_calls": "codec.pack",
+    "codec.unpack_calls": "codec.unpack",
+    "baselines.unpack_calls": "baselines.unpack",
+    "optim.update_calls": "optim.update",
 }
 
 END_TO_END_UNITS = {"step_ms_p50": "ms", "step_ms_p90": "ms", "wall_ms_per_step": "ms",
                     "setup_s": "s", "peak_rss_mb": "MB"}
-PER_LAYER_UNITS = {**{m: "ms" for m in TIME_METRICS}, **{m: "count" for m in CALL_METRICS},
+PER_LAYER_UNITS = {**{m: "ms" for m in TIME_METRICS}, "nn.calls": "count",
+                   **{m: "count" for m in CALL_METRICS},
                    "codec.selected_fraction": "share", "wire.bits_per_element": "bit",
                    "data.generate_ms": "ms", "trace.overhead_pct": "%"}
 
@@ -142,7 +145,8 @@ class Pass:
         self.traced = traced
         self.tracer = Tracer()
         self.counts: Counter = Counter()
-        self.attempted = 0
+        self.attempted = 0         # run() calls or round trips, set-up probes included
+        self.probes = 0
         self.failed = 0
         self.steps = 0
         self.step_ms: list[float] = []
@@ -166,10 +170,9 @@ class Pass:
 
     def layer_metrics(self) -> dict:
         self_ns, calls = self.tracer.totals()
-        out = {m: sum(self_ns[s] for s in spans) / 1e6 / self.steps
-               for m, spans in TIME_METRICS.items()}
-        out.update({m: sum(calls[s] for s in spans) / self.steps
-                    for m, spans in CALL_METRICS.items()})
+        out = {m: self_ns[span] / 1e6 / self.steps for m, span in TIME_METRICS.items()}
+        out.update({m: calls[span] / self.steps for m, span in CALL_METRICS.items()})
+        out["nn.calls"] = (calls["nn.forward"] + calls["nn.backward"]) / self.steps
         out["codec.selected_fraction"] = self.counts["entries"] / max(self.counts["elements"], 1)
         out["wire.bits_per_element"] = self.bits / self.elements
         out["data.generate_ms"] = self_ns["data.generate"] / 1e6 / self.attempted
@@ -226,6 +229,34 @@ def train_once(p: Pass, name: str, cfg: ExperimentConfig, out_dir: Path) -> None
         p.last = {"final_test_error": summary["final_test_error"],
                   "compression_rate": summary["mean_rate_overall"],
                   "final_loss": _last_epoch_loss(out_dir / "metrics.csv")}
+
+
+class _FirstStep(BaseException):
+    """Ends a set-up probe at its first step; not an Exception, so nothing
+    in the program catches it."""
+
+
+def probe_setup(p: Pass, name: str, cfg: ExperimentConfig, out_dir: Path) -> None:
+    """One ``runner.run`` call stopped as its first step starts: a set-up
+    sample without the cost of an epoch."""
+    def first_step(cluster):
+        raise _FirstStep(perf_counter())
+
+    original = sim.Cluster.sync_step
+    sim.Cluster.sync_step = first_step
+    p.attempted += 1
+    p.probes += 1
+    started = perf_counter()
+    try:
+        runner.run(cfg, out_dir)
+        p.fail(f"{name} set-up probe: run() returned without a step")
+    except _FirstStep as stop:
+        p.setup_s.append(stop.args[0] - started)
+    except Exception:
+        traceback.print_exc()
+        p.fail(f"{name} set-up probe raised")
+    finally:
+        sim.Cluster.sync_step = original
 
 
 class RoundTrip:
@@ -310,12 +341,14 @@ def measure(name: str, seed: int, seconds: float, trace: bool, out_dir: Path) ->
     With ``trace`` the repetitions alternate between an untraced and a
     traced pass, so warm-up does not bias the tracing overhead and the
     traced metrics.csv can be checked against the untraced one."""
-    deadline = perf_counter() + seconds
+    start = perf_counter()
+    deadline = start + seconds
     training = name in TRAINING
     base = Pass(traced=False)
     passes = [base, Pass(traced=True)] if trace else [base]
     if training:
-        once = partial(train_once, name=name, cfg=train_config(name, seed), out_dir=out_dir)
+        cfg = train_config(name, seed)
+        once = partial(train_once, name=name, cfg=cfg, out_dir=out_dir)
     else:
         for _ in range(CODEC_SETUPS):
             started = perf_counter()
@@ -327,6 +360,10 @@ def measure(name: str, seed: int, seconds: float, trace: bool, out_dir: Path) ->
         started = perf_counter()
         once(passes[i % len(passes)])
         longest = max(longest, perf_counter() - started)
+        if training and not trace:
+            # keep the set-up samples on schedule, SETUP_SAMPLES by the deadline
+            while len(base.setup_s) < SETUP_SAMPLES * min(1, (perf_counter() - start) / seconds):
+                probe_setup(base, name, cfg, out_dir / "setup-probe")
         if i + 1 >= len(passes) and perf_counter() + longest > deadline:
             break
     digests = [d for p in passes for d in p.digests]
@@ -367,6 +404,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool, out_dir: Path) ->
         "final_loss": (base.last.get("final_loss"), "nats"),
         "error_rate": (failed / attempted, "share"),
         "timed_steps": (len(base.step_ms), "count"),
-        "runs": (base.attempted, "count"),
+        "runs": (base.attempted - base.probes, "count"),
+        "setup_probes": (base.probes, "count"),
     }
     return result
