@@ -89,20 +89,29 @@ def topk_pack(state: CodecState, dw: GradientVector, fraction: float) -> tuple[T
     if state.residue.shape != w.shape:
         raise ValueError("residue/gradient shape mismatch")
     g = state.residue + w
-    k = math.ceil(fraction * w.size)
-    order = np.argsort(-np.abs(g), kind="stable")
-    indices = np.sort(order[:k])
+    indices = _top_k_indices(g, math.ceil(fraction * w.size))
     signs = np.where(g[indices] >= 0.0, 1, -1).astype(np.int8)
     pos_scale = _seq_mean_f32(g[indices[signs == 1]])
     neg_scale = _seq_mean_f32(g[indices[signs == -1]])
-    recon = np.zeros(w.size, dtype=np.float64)
-    recon[indices] = np.where(signs == 1, np.float64(pos_scale), np.float64(neg_scale))
-    selected = np.zeros(w.size, dtype=bool)
-    selected[indices] = True
-    new_residue = np.where(selected, g - recon, g)
-    packed = TopKPacked(dw.layer_id, int(w.size), indices.astype(np.int64), signs,
+    packed = TopKPacked(dw.layer_id, int(w.size), indices, signs,
                         float(pos_scale), float(neg_scale))
-    return packed, CodecState(residue=new_residue, step=state.step + 1)
+    # g is this call's own array: it becomes the new residue once the
+    # selected entries have their reconstruction taken off
+    g[indices] -= np.where(signs == 1, np.float64(pos_scale), np.float64(neg_scale))
+    return packed, CodecState(residue=g, step=state.step + 1)
+
+
+def _top_k_indices(g: np.ndarray, k: int) -> np.ndarray:
+    """Increasing indices of the k largest |g|, ties to the lowest index and
+    NaN ranked below every number, found in linear time: all entries above
+    the k-th largest |g|, then the lowest-index entries equal to it."""
+    key = -np.abs(g)
+    key[np.isnan(key)] = np.inf
+    threshold = np.partition(key, k - 1)[k - 1]
+    selected = key < threshold
+    ties = np.flatnonzero(key == threshold)
+    selected[ties[:k - np.count_nonzero(selected)]] = True
+    return np.flatnonzero(selected)
 
 
 def onebit_pack(state: CodecState, dw: GradientVector) -> tuple[OneBitPacked, CodecState]:

@@ -3,8 +3,9 @@
   adacomp run   --config cfg.json --out outdir
   adacomp sweep --config cfg.json --axis {L_T,minibatch,learners} --values 50,200,800 [--out outdir]
 
-ADACOMP_THREADS (default 1) sets how many learner compute phases may run
-concurrently; it never changes results.
+ADACOMP_THREADS (a positive integer, default 1) sets how many learner
+compute phases may run concurrently; it never changes results. Any other
+value exits with code 2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,15 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--out", default="sweep-out", help="output directory")
 
     args = parser.parse_args(argv)
-    threads = int(os.environ.get("ADACOMP_THREADS", "1"))
+    raw_threads = os.environ.get("ADACOMP_THREADS", "1")
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        print(f"error: ADACOMP_THREADS must be a positive integer, got {raw_threads!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         cfg = ExperimentConfig.load(args.config)

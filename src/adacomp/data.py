@@ -23,7 +23,8 @@ class Dataset:
     def __post_init__(self):
         if len(self.features) != len(self.labels):
             raise ValueError("count mismatch between features and labels")
-        if self.labels.size and int(self.labels.max()) >= self.num_classes:
+        if self.labels.size and (int(self.labels.min()) < 0
+                                 or int(self.labels.max()) >= self.num_classes):
             raise ValueError("label out of range")
 
     def __len__(self) -> int:

@@ -2,17 +2,18 @@
 learners.
 
 Every step each learner computes gradients on its shard of the global
-mini-batch, compresses them layer by layer against its own residue, and the
-simulated exchange hands every pack to every learner losslessly. Each
-learner then decompresses all N packs itself, averages them in rank order
-and applies the same optimizer update, so weights stay bitwise identical
+mini-batch and compresses them layer by layer against its own residue. The
+simulated exchange is lossless, so every learner would decompress the same
+N packs and average them in the same rank order. The cluster therefore
+decompresses and averages each layer once per step and hands that one
+average to every learner's optimizer, so weights stay bitwise identical
 across ranks. The whole run is a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,11 +175,14 @@ class Learner:
     model: Model
     optimizer: object
     codec_states: list[CodecState]
-    loss: float = field(default=float("nan"))
 
 
 class Cluster:
     """N synchronous learners over one training set.
+
+    Each learner keeps its own model replica, optimizer and residues. A step
+    decompresses every layer's N packs once, averages them in rank order in
+    float32, and applies that average through each learner's optimizer.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
     codec instance; kinds left out run uncompressed.
@@ -257,24 +261,21 @@ class Cluster:
             results = [self._compute_and_pack(l, x, y) for l, (x, y) in jobs]
         losses = [r[0] for r in results]
         all_packs = [r[1] for r in results]
-        for l, loss in zip(self.learners, losses):
-            l.loss = loss
         if not all(np.isfinite(losses)):
             raise DivergenceError(self.epoch, self.global_step, losses)
 
-        # barrier: every learner decompresses all packs and averages in rank order
-        n_layers = len(self.layer_sizes)
+        # barrier: the exchange is lossless, so one rank-order average per
+        # layer is what every learner would compute; optimizers only read it
+        grads: list[np.ndarray] = []
+        for li, size in enumerate(self.layer_sizes):
+            acc = np.zeros(size, dtype=np.float32)
+            for rank in range(self.num_learners):
+                acc += self.codecs[li].to_dense(all_packs[rank][li])
+            acc /= np.float32(self.num_learners)
+            grads.extend(split_vector(acc, self.param_shapes[li]))
         for learner in self.learners:
-            flat_params: list[np.ndarray] = []
-            flat_grads: list[np.ndarray] = []
-            for li in range(n_layers):
-                acc = np.zeros(self.layer_sizes[li], dtype=np.float32)
-                for rank in range(self.num_learners):
-                    acc += self.codecs[li].to_dense(all_packs[rank][li])
-                acc /= np.float32(self.num_learners)
-                flat_params.extend(learner.model.param_layers[li].params())
-                flat_grads.extend(split_vector(acc, self.param_shapes[li]))
-            learner.optimizer.update(flat_params, flat_grads)
+            learner.optimizer.update(
+                [p for layer in learner.model.param_layers for p in layer.params()], grads)
 
         self.global_step += 1
         return self._metrics(losses, all_packs)

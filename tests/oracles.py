@@ -129,6 +129,32 @@ def onebit_pack_reference(residue, dw):
             float(np.float32(neg_scale)), np.array(new_res, dtype=np.float64))
 
 
+def exchange_reference_step(cluster):
+    """One synchronous step of ``cluster`` in which every learner unpacks
+    all N packs and averages them itself, in rank order, before its own
+    optimizer update. Batching, compression and the step metrics are the
+    cluster's own; only the exchange is done the naive way."""
+    batches = cluster._next_batches()
+    results = [cluster._compute_and_pack(l, x, y) for l, (x, y) in zip(cluster.learners, batches)]
+    losses = [r[0] for r in results]
+    all_packs = [r[1] for r in results]
+    for learner in cluster.learners:
+        params, grads = [], []
+        for li, layer in enumerate(learner.model.param_layers):
+            acc = np.zeros(cluster.layer_sizes[li], dtype=np.float32)
+            for rank in range(cluster.num_learners):
+                acc += cluster.codecs[li].to_dense(all_packs[rank][li])
+            acc /= np.float32(cluster.num_learners)
+            pos = 0
+            for p in layer.params():
+                params.append(p)
+                grads.append(acc[pos:pos + p.size].reshape(p.shape))
+                pos += p.size
+        learner.optimizer.update(params, grads)
+    cluster.global_step += 1
+    return cluster._metrics(losses, all_packs)
+
+
 def finite_difference_grads(loss_fn, params: list[np.ndarray], eps: float = 1e-3) -> list[np.ndarray]:
     """Central finite differences of loss_fn() w.r.t. every coordinate of the
     given parameter arrays, perturbing them in place."""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adacomp.baselines import (
@@ -130,6 +130,56 @@ def test_topk_count_and_reference(case, fraction):
     assert packed.pos_scale == pos
     assert packed.neg_scale == neg
     np.testing.assert_array_equal(new_state.residue, ref_res)
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def argsort_topk_pack(g, k):
+    """The former top-k: a full stable argsort of -|g| (NaN last), then a
+    dense residue update. Kept as the reference for the linear-time one."""
+    order = np.argsort(-np.abs(g), kind="stable")
+    indices = np.sort(order[:k])
+    signs = np.where(g[indices] >= 0.0, 1, -1).astype(np.int8)
+    scales = []
+    for side in (g[indices[signs == 1]], g[indices[signs == -1]]):
+        scales.append(np.float32(np.cumsum(side)[-1] / side.size) if side.size else np.float32(0.0))
+    recon = np.zeros(g.size, dtype=np.float64)
+    recon[indices] = np.where(signs == 1, np.float64(scales[0]), np.float64(scales[1]))
+    selected = np.zeros(g.size, dtype=bool)
+    selected[indices] = True
+    return indices, signs, float(scales[0]), float(scales[1]), np.where(selected, g - recon, g)
+
+
+@st.composite
+def tie_heavy_layers(draw):
+    """Small-integer values with a drawn share of +-0.0, +-inf and NaN."""
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    residue = rng.integers(-3, 4, n).astype(np.float64)
+    special = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+    residue[special] = rng.choice(SPECIALS, int(special.sum()))
+    dw = rng.integers(-2, 3, n).astype(np.float32) * draw(st.sampled_from([0.0, 0.5]))
+    return residue, dw
+
+
+@given(tie_heavy_layers(), st.floats(min_value=0.001, max_value=1.0))
+@example((np.array([2.0, np.nan, -2.0, 1.0]), np.zeros(4, np.float32)), 0.001)   # k = 1
+@example((np.array([np.nan, -0.0, 0.0, np.inf]), np.zeros(4, np.float32)), 1.0)  # k = n
+@example((np.array([np.nan, 1.0, np.nan, -np.inf]), np.zeros(4, np.float32)), 0.75)
+@settings(max_examples=200, deadline=None)
+def test_topk_selection_matches_stable_argsort(case, fraction):
+    residue, dw = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        packed, new_state = topk_pack(state_of(residue), GradientVector(0, dw), fraction)
+        g = residue + dw.astype(np.float64)
+        idx, signs, pos, neg, ref_res = argsort_topk_pack(g, int(np.ceil(fraction * g.size)))
+    np.testing.assert_array_equal(packed.indices, idx)
+    assert packed.indices.dtype == np.int64
+    np.testing.assert_array_equal(packed.signs, signs)
+    np.testing.assert_array_equal(np.float64([packed.pos_scale, packed.neg_scale]).view(np.uint64),
+                                  np.float64([pos, neg]).view(np.uint64))
+    np.testing.assert_array_equal(new_state.residue.view(np.uint64), ref_res.view(np.uint64))
 
 
 # ------------------------------------------------------------------- one-bit

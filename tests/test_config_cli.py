@@ -125,6 +125,16 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["x", "1.5", "", "0", "-2"])
+def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("ADACOMP_THREADS", value)
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "ADACOMP_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_cli_divergence_exit_code(tmp_path, capsys):
     cfg = base_config(optimizer={"kind": "sgd", "lr": 1e30}, epochs=3)

@@ -126,3 +126,5 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2), np.float32), np.zeros(2, np.int64), "train", 2)
     with pytest.raises(ValueError, match="label out of range"):
         Dataset(np.zeros((2, 2), np.float32), np.array([0, 5]), "train", 2)
+    with pytest.raises(ValueError, match="label out of range"):
+        Dataset(np.zeros((2, 2), np.float32), np.array([0, -1]), "train", 2)

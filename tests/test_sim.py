@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from adacomp import sim
 from adacomp.data import synth_gaussians
 from adacomp.nn import build_mlp, serialize_grad
 from adacomp.optim import SGDMomentum
@@ -16,6 +19,8 @@ from adacomp.sim import (
     nearest_rank_percentile,
     shard,
 )
+
+from oracles import exchange_reference_step
 
 DIM, CLASSES = 12, 4
 
@@ -123,18 +128,49 @@ def test_two_learner_identity_matches_single_learner_gradient():
 
 # ------------------------------------------------- weight identity & codecs
 
-@pytest.mark.parametrize("codec_by_kind", [
+ALL_CODECS = [
     {"fc": AdaCompCodec(bin_size=10)},
     {"fc": LocalSelectionCodec(bin_size=10)},
     {"fc": TopPercentCodec(fraction=0.1)},
     {"fc": OneBitCodec()},
-])
+    {"fc": IdentityCodec()},
+]
+
+
+@pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
 def test_weights_bitwise_identical_across_ranks(codec_by_kind):
     cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
     cluster.start_epoch(1)
     for _ in range(10):
         cluster.sync_step()
         assert cluster.weights_identical()
+
+
+@pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
+def test_exchange_matches_per_learner_reference(codec_by_kind):
+    fast = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    naive = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    fast.start_epoch(1)
+    naive.start_epoch(1)
+    for _ in range(10):
+        got = fast.sync_step()
+        want = exchange_reference_step(naive)
+        np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
+        for rank in range(4):
+            for a, b in zip(weights_of(fast, rank), weights_of(naive, rank)):
+                np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
+def test_sync_step_unpacks_each_pack_once(codec_by_kind, monkeypatch):
+    calls = []
+    for name in ("unpack", "unpack_topk", "unpack_onebit", "unpack_dense"):
+        original = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda p, f=original: calls.append(1) or f(p))
+    cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    cluster.start_epoch(1)
+    cluster.sync_step()
+    assert len(calls) == 4 * len(cluster.layer_sizes)
 
 
 def test_adacomp_weight_identity_over_100_steps():
