@@ -4,8 +4,11 @@
   adacomp sweep --config cfg.json --axis {L_T,minibatch,learners} --values 50,200,800 [--out outdir]
 
 ADACOMP_THREADS (a positive integer, default 1) sets how many learner
-compute phases may run concurrently; it never changes results. Any other
-value exits with code 2.
+compute phases may run concurrently; it never changes results.
+
+Exit codes: 0 on success; 2 for a bad config, ADACOMP_THREADS value,
+argument or data file, with an ``error: ...`` line on stderr; 3 when a run
+diverges.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
+from .data import DataError
 from .runner import SWEEP_AXES, run, sweep
 
 EXIT_OK = 0
@@ -59,7 +63,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     if args.command == "run":
-        summary = run(cfg, Path(args.out), threads=threads)
+        try:
+            summary = run(cfg, Path(args.out), threads=threads)
+        except DataError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
         if summary["diverged"]:
             print(f"run diverged at epoch {summary['diverged']['epoch']}, "
                   f"step {summary['diverged']['step']}; partial metrics written to {args.out}",

@@ -3,6 +3,7 @@ generators (Gaussian mixtures and a digit-like 28x28 image task)."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,31 +32,45 @@ class Dataset:
         return len(self.labels)
 
 
-def _read_exact(f, n: int) -> bytes:
+class DataError(ValueError):
+    """A data file is missing, unreadable or not a well-formed IDX file; the
+    message names the file."""
+
+
+def _read_exact(f, n: int, path) -> bytes:
     buf = f.read(n)
     if len(buf) != n:
-        raise ValueError("unexpected end of file")
+        raise DataError(f"{path}: unexpected end of file")
     return buf
+
+
+def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
+    """The uint8 payload of one IDX file, shaped as its header says."""
+    try:
+        with open(path, "rb") as f:
+            found, *shape = struct.unpack(f">{1 + ndim}I", _read_exact(f, 4 + 4 * ndim, path))
+            if found != magic:
+                raise DataError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+            raw = _read_exact(f, math.prod(shape), path)
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from e
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def load_idx(path_images, path_labels, split: str = "train", num_classes: int = 10) -> Dataset:
     """Parse an IDX image/label pair into [n, 1, rows, cols] float32 pixels
-    scaled to [0, 1]."""
-    with open(path_images, "rb") as f:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(f, 16))
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(f"bad magic in image file: 0x{magic:08x}")
-        raw = _read_exact(f, n * rows * cols)
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
-    with open(path_labels, "rb") as f:
-        magic, n_labels = struct.unpack(">II", _read_exact(f, 8))
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(f"bad magic in label file: 0x{magic:08x}")
-        labels = np.frombuffer(_read_exact(f, n_labels), dtype=np.uint8)
-    if n_labels != n:
-        raise ValueError(f"count mismatch: {n} images vs {n_labels} labels")
-    return Dataset(images.astype(np.float32) / np.float32(255.0),
-                   labels.astype(np.int64), split, num_classes)
+    scaled to [0, 1]. Raises DataError when a file cannot be read, is
+    malformed, or does not match the other."""
+    images = _read_idx(path_images, IDX_IMAGES_MAGIC, 3)
+    labels = _read_idx(path_labels, IDX_LABELS_MAGIC, 1)
+    if len(labels) != len(images):
+        raise DataError(f"count mismatch: {len(images)} images in {path_images} "
+                        f"vs {len(labels)} labels in {path_labels}")
+    try:
+        return Dataset(images[:, None].astype(np.float32) / np.float32(255.0),
+                       labels.astype(np.int64), split, num_classes)
+    except ValueError as e:
+        raise DataError(f"{path_labels}: {e}") from e
 
 
 def write_idx(images_u8: np.ndarray, labels: np.ndarray, path_images, path_labels) -> None:

@@ -60,12 +60,6 @@ class MetricsWriter:
         if not self._fh.closed:
             self._fh.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def magnitude_histogram(values: np.ndarray, num_buckets: int = 64,
                         decades: float = 9.0) -> tuple[np.ndarray, np.ndarray]:

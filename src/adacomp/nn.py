@@ -239,11 +239,6 @@ class Model:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.logits(x).argmax(axis=1)
 
-    def copy_weights_from(self, other: "Model") -> None:
-        for mine, theirs in zip(self.param_layers, other.param_layers):
-            for p, q in zip(mine.params(), theirs.params()):
-                np.copyto(p, q)
-
 
 def serialize_grad(grads: ModelGradients) -> list[GradientVector]:
     """Flatten each layer's gradients to one vector: parameters in row-major

@@ -33,10 +33,11 @@ from .wire import payload_bits
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a learner's loss stops being finite."""
+    """Raised when a learner's loss or a fresh layer gradient stops being
+    finite; ``reason`` names the value and where it came from."""
 
-    def __init__(self, epoch: int, step: int, losses: list[float]):
-        super().__init__(f"non-finite loss at epoch {epoch}, step {step}: {losses}")
+    def __init__(self, epoch: int, step: int, reason: str):
+        super().__init__(f"{reason} at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
 
@@ -244,9 +245,17 @@ class Cluster:
 
     def _compute_and_pack(self, learner: Learner, x, y):
         loss, _ = learner.model.forward(x, y)
+        if not np.isfinite(loss):
+            raise DivergenceError(self.epoch, self.global_step,
+                                  f"non-finite loss {loss} on rank {learner.rank}")
         grads = learner.model.backward(y)
         packs = []
         for li, gv in enumerate(serialize_grad(grads)):
+            # checked before packing, so no residue takes in an inf or NaN
+            if not np.isfinite(gv.values).all():
+                raise DivergenceError(
+                    self.epoch, self.global_step,
+                    f"non-finite gradient in layer {self.layer_names[li]} on rank {learner.rank}")
             packed, learner.codec_states[li] = self.codecs[li].pack(learner.codec_states[li], gv)
             packs.append(packed)
         return loss, packs
@@ -261,8 +270,6 @@ class Cluster:
             results = [self._compute_and_pack(l, x, y) for l, (x, y) in jobs]
         losses = [r[0] for r in results]
         all_packs = [r[1] for r in results]
-        if not all(np.isfinite(losses)):
-            raise DivergenceError(self.epoch, self.global_step, losses)
 
         # barrier: the exchange is lossless, so one rank-order average per
         # layer is what every learner would compute; optimizers only read it
@@ -305,8 +312,12 @@ class Cluster:
                            bits, rates, sel_mean, sel_max, rg_p95)
 
     def pooled_abs_residue(self, layer_index: int) -> np.ndarray:
-        return np.abs(np.concatenate(
-            [l.codec_states[layer_index].residue for l in self.learners]))
+        """|residue| of one layer over every rank, in rank order, as a new
+        flat array; each rank's |residue| is written straight into it."""
+        pooled = np.empty((self.num_learners, self.layer_sizes[layer_index]))
+        for row, learner in zip(pooled, self.learners):
+            np.abs(learner.codec_states[layer_index].residue, out=row)
+        return pooled.reshape(-1)
 
     def evaluate(self, test: Dataset, batch: int = 512) -> float:
         """Test error rate of the (rank-identical) model."""
@@ -329,9 +340,19 @@ class Cluster:
 
 
 def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
+    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value.
+
+    ``values`` must be a float64 array of magnitudes with the sign bit
+    clear, as ``np.abs`` leaves them; NaN ranks above every number. The
+    function reorders ``values`` in place: it partitions their bit patterns
+    as int64, which for such values sort exactly like the floats.
+    """
+    if values.dtype != np.float64:
+        raise TypeError(f"expected float64 magnitudes, got {values.dtype}")
     n = values.size
     if n == 0:
         raise ValueError("empty sample")
     k = max(1, int(np.ceil(pct / 100.0 * n)))
-    return float(np.partition(values, k - 1)[k - 1])
+    bits = values.view(np.int64)
+    bits.partition(k - 1)
+    return float(values[k - 1])

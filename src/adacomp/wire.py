@@ -2,9 +2,11 @@
 
 Layout (little-endian):
   header: layer_id u16 | element_count u32 | bin_size u16 | scale f32
-  body:   per bin in order, a u8 entry count followed by that many entries.
-          Entries are (index_within_bin << 2) | code with code 01 = +scale
-          and 10 = -scale; one byte when bin_size <= 64, two bytes (LE)
+  body:   per bin in order, an entry count followed by that many entries.
+          A count below 255 is one u8; a larger count is the escape byte
+          255 followed by the count as u16. Entries are
+          (index_within_bin << 2) | code with code 01 = +scale and
+          10 = -scale; one byte when bin_size <= 64, two bytes (LE)
           otherwise.
 
 The full layout is documented in docs/wire-format.md and is stable within a
@@ -28,6 +30,9 @@ HEADER_BITS = _HEADER.size * 8
 
 CODE_PLUS = 0b01
 CODE_MINUS = 0b10
+
+# a count byte of COUNT_ESCAPE is followed by the real count as u16
+COUNT_ESCAPE = 255
 
 
 @dataclass
@@ -57,10 +62,14 @@ def encode(p: PackedLayer) -> EncodedLayer:
     width = entry_width_bytes(p.bin_size)
     out = bytearray(_HEADER.pack(p.layer_id, p.element_count, p.bin_size, p.scale))
     for b, entries in enumerate(p.bins):
-        if len(entries) > 255:
-            raise ValueError("bin overflow")
         extent = min(p.bin_size, p.element_count - b * p.bin_size)
-        out.append(len(entries))
+        if len(entries) > extent:
+            raise ValueError("invalid pack: more entries than the bin holds")
+        if len(entries) < COUNT_ESCAPE:
+            out.append(len(entries))
+        else:
+            out.append(COUNT_ESCAPE)
+            out += len(entries).to_bytes(2, "little")
         prev = -1
         for idx, code in entries:
             if not prev < idx < extent:
@@ -93,6 +102,13 @@ def decode(e: EncodedLayer) -> PackedLayer:
             raise ValueError("unexpected end of stream")
         count = data[pos]
         pos += 1
+        if count == COUNT_ESCAPE:
+            if pos + 2 > len(data):
+                raise ValueError("unexpected end of stream")
+            count = int.from_bytes(data[pos:pos + 2], "little")
+            pos += 2
+            if count < COUNT_ESCAPE:
+                raise ValueError("corrupt entry: escaped count below 255")
         if pos + count * width > len(data):
             raise ValueError("unexpected end of stream")
         entries: list[tuple[int, int]] = []

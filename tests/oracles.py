@@ -155,6 +155,24 @@ def exchange_reference_step(cluster):
     return cluster._metrics(losses, all_packs)
 
 
+def nearest_rank_reference(values, pct):
+    """Nearest-rank percentile over a plain sorted list, NaN above every
+    number: the ceil(pct/100 * n)-th smallest value."""
+    ordered = sorted((float(v) for v in values), key=lambda v: (math.isnan(v), v))
+    k = max(1, math.ceil(pct / 100.0 * len(ordered)))
+    return ordered[k - 1]
+
+
+def pooled_p95_reference(cluster, layer_index):
+    """95th nearest-rank percentile of |residue| for one layer, pooled over
+    every rank's residue element by element."""
+    magnitudes = []
+    for learner in cluster.learners:
+        for v in learner.codec_states[layer_index].residue:
+            magnitudes.append(abs(float(v)))
+    return nearest_rank_reference(magnitudes, 95.0)
+
+
 def finite_difference_grads(loss_fn, params: list[np.ndarray], eps: float = 1e-3) -> list[np.ndarray]:
     """Central finite differences of loss_fn() w.r.t. every coordinate of the
     given parameter arrays, perturbing them in place."""

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adacomp import baselines
 from adacomp.baselines import (
+    TOPK_SAMPLE_STRIDE,
     identity_pack,
     ls_pack,
     onebit_pack,
@@ -163,7 +165,32 @@ def tie_heavy_layers(draw):
     return residue, dw
 
 
+def strided_layer(n, on_stride, off_stride, seed=0):
+    """Small noise, with every entry on the top-k sample stride set to
+    ``on_stride`` and ``off_stride`` spread over the entries between."""
+    rng = np.random.default_rng(seed)
+    residue = rng.standard_normal(n) * 0.01
+    stride = np.arange(n) % TOPK_SAMPLE_STRIDE == 0
+    if on_stride is not None:
+        residue[stride] = on_stride
+    if off_stride is not None:
+        residue[np.flatnonzero(~stride)[::7]] = off_stride
+    return residue, np.zeros(n, np.float32)
+
+
+NOISE_LAYER = (np.random.default_rng(1).standard_normal(5000), np.zeros(5000, np.float32))
+# the sample sees only the stride: large values on it push the bracket above
+# the k-th largest (fallback), large values off it pull it below (bracket path)
+ON_STRIDE_LAYER = strided_layer(5000, on_stride=1.0, off_stride=None)
+OFF_STRIDE_LAYER = strided_layer(5000, on_stride=None, off_stride=-3.0)
+NAN_STRIDE_LAYER = strided_layer(5000, on_stride=np.nan, off_stride=None)
+
+
 @given(tie_heavy_layers(), st.floats(min_value=0.001, max_value=1.0))
+@example(NOISE_LAYER, 0.01)           # bracket path
+@example(ON_STRIDE_LAYER, 0.05)       # fallback: 82 candidates for k = 250
+@example(OFF_STRIDE_LAYER, 0.01)      # bracket path, many tied candidates
+@example(NAN_STRIDE_LAYER, 0.01)      # fallback: the bracket is NaN
 @example((np.array([2.0, np.nan, -2.0, 1.0]), np.zeros(4, np.float32)), 0.001)   # k = 1
 @example((np.array([np.nan, -0.0, 0.0, np.inf]), np.zeros(4, np.float32)), 1.0)  # k = n
 @example((np.array([np.nan, 1.0, np.nan, -np.inf]), np.zeros(4, np.float32)), 0.75)
@@ -180,6 +207,26 @@ def test_topk_selection_matches_stable_argsort(case, fraction):
     np.testing.assert_array_equal(np.float64([packed.pos_scale, packed.neg_scale]).view(np.uint64),
                                   np.float64([pos, neg]).view(np.uint64))
     np.testing.assert_array_equal(new_state.residue.view(np.uint64), ref_res.view(np.uint64))
+
+
+@pytest.mark.parametrize("layer,fraction,partitioned", [
+    (NOISE_LAYER, 0.01, "candidates"),
+    (ON_STRIDE_LAYER, 0.05, "layer"),
+    (OFF_STRIDE_LAYER, 0.01, "candidates"),
+    (NAN_STRIDE_LAYER, 0.01, "layer"),
+])
+def test_topk_partitions_only_the_bracket_candidates(layer, fraction, partitioned, monkeypatch):
+    sizes = []
+    original = baselines._top_k_positions
+    monkeypatch.setattr(baselines, "_top_k_positions",
+                        lambda a, k: sizes.append(a.size) or original(a, k))
+    residue, dw = layer
+    topk_pack(state_of(residue), GradientVector(0, dw), fraction)
+    assert len(sizes) == 1
+    if partitioned == "layer":
+        assert sizes == [residue.size]
+    else:
+        assert sizes[0] < residue.size // 4
 
 
 # ------------------------------------------------------------------- one-bit

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from adacomp.cli import main
 from adacomp.config import ConfigError, ExperimentConfig
+from adacomp.data import synth_digits_idx
 
 
 def base_config(**overrides):
@@ -133,6 +135,42 @@ def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert "ADACOMP_THREADS" in capsys.readouterr().err
     assert not out.exists()
+
+
+def idx_config(tmp_path):
+    img, lbl = synth_digits_idx(16, seed=0, out_dir=tmp_path / "data")
+    return base_config(
+        model={"kind": "mlp", "input_dim": 784, "hidden": [8], "classes": 10},
+        dataset={"kind": "idx", "train_images": str(img), "train_labels": str(lbl),
+                 "test_images": str(img), "test_labels": str(lbl)},
+        minibatch=8)
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "bad_magic", "directory", "bad_label"])
+def test_cli_bad_idx_file_exits_2_with_error(tmp_path, capsys, damage):
+    cfg = idx_config(tmp_path)
+    target = Path(cfg["dataset"]["train_labels" if damage == "bad_label" else "train_images"])
+    if damage == "bad_label":
+        target.write_bytes(target.read_bytes()[:-1] + bytes([200]))
+    elif damage == "missing":
+        target.unlink()
+    elif damage == "truncated":
+        target.write_bytes(target.read_bytes()[:100])
+    elif damage == "bad_magic":
+        target.write_bytes(b"\x00\x00\x08\x01" + target.read_bytes()[4:])
+    else:
+        target.unlink()
+        target.mkdir()
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
+def test_cli_idx_run_succeeds(tmp_path):
+    path = write_config(tmp_path, idx_config(tmp_path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adacomp import sim
 from adacomp.data import synth_gaussians
@@ -20,7 +22,7 @@ from adacomp.sim import (
     shard,
 )
 
-from oracles import exchange_reference_step
+from oracles import exchange_reference_step, nearest_rank_reference, pooled_p95_reference
 
 DIM, CLASSES = 12, 4
 
@@ -161,6 +163,20 @@ def test_exchange_matches_per_learner_reference(codec_by_kind):
                 np.testing.assert_array_equal(a, b)
 
 
+def bits_of(x):
+    return np.float64(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
+def test_rg_p95_matches_sorted_list_reference(codec_by_kind):
+    cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    cluster.start_epoch(1)
+    for _ in range(6):
+        m = cluster.sync_step()
+        want = [pooled_p95_reference(cluster, li) for li in range(len(cluster.layer_sizes))]
+        assert [bits_of(v) for v in m.rg_p95] == [bits_of(v) for v in want]
+
+
 @pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
 def test_sync_step_unpacks_each_pack_once(codec_by_kind, monkeypatch):
     calls = []
@@ -242,6 +258,25 @@ def test_divergence_detector():
             cluster.sync_step()
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_gradient_stops_the_step(bad, monkeypatch):
+    cluster = make_cluster(2, 16, {"fc": AdaCompCodec(bin_size=50)})
+    model = cluster.learners[1].model
+    backward = model.backward
+
+    def poisoned(labels):
+        grads = backward(labels)
+        grads[1][0].flat[3] = bad
+        return grads
+
+    monkeypatch.setattr(model, "backward", poisoned)
+    cluster.start_epoch(1)
+    with pytest.raises(DivergenceError, match="non-finite gradient in layer fc1 on rank 1") as e:
+        cluster.sync_step()
+    assert (e.value.epoch, e.value.step) == (1, 0)
+    assert all(np.isfinite(s.residue).all() for l in cluster.learners for s in l.codec_states)
+
+
 def test_cluster_validation():
     with pytest.raises(ValueError, match="divisible"):
         make_cluster(3, 16)
@@ -266,3 +301,31 @@ def test_nearest_rank_percentile():
     assert nearest_rank_percentile(vals, 95.0) == 10.0
     assert nearest_rank_percentile(vals, 50.0) == 5.0
     assert nearest_rank_percentile(np.array([3.0]), 95.0) == 3.0
+
+
+magnitude_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0]))
+
+
+@given(st.lists(magnitude_floats, min_size=1, max_size=200),
+       st.floats(min_value=0.0, max_value=100.0, exclude_min=True))
+@example([-0.0, 0.0, -np.inf, np.nan, 1.0], 95.0)
+@example([np.nan, np.nan, -np.inf], 50.0)
+@example([-0.0, 0.0], 100.0)
+@settings(max_examples=300)
+def test_nearest_rank_percentile_matches_sorted(values, pct):
+    magnitudes = np.abs(np.array(values, dtype=np.float64))
+    before = sorted(magnitudes.view(np.uint64))
+    got = nearest_rank_percentile(magnitudes, pct)
+    want = nearest_rank_reference([abs(v) for v in values], pct)
+    assert sorted(magnitudes.view(np.uint64)) == before  # reordered, not changed
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert bits_of(got) == bits_of(want)
+
+
+def test_nearest_rank_percentile_wants_float64():
+    with pytest.raises(TypeError, match="float64"):
+        nearest_rank_percentile(np.ones(4, np.float32), 95.0)

@@ -2,11 +2,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adacomp.baselines import DensePacked, OneBitPacked, TopKPacked
-from adacomp.codec import PackedLayer
+from adacomp.codec import MAX_BIN_SIZE, BinConfig, CodecState, GradientVector, PackedLayer, pack, unpack
 from adacomp.wire import (
     HEADER_BITS,
     EncodedLayer,
@@ -69,10 +69,21 @@ def test_entry_width_switches_at_64():
 
 # ------------------------------------------------------------------- errors
 
-def test_encode_bin_overflow():
-    p = PackedLayer(0, 300, 300, 1.0, [[(i, 1) for i in range(256)]])
-    with pytest.raises(ValueError, match="bin overflow"):
-        encode(p)
+def test_encode_count_escape_bytes():
+    # counts from 255 up are the escape byte 0xFF and then a u16 count
+    for count, prefix in ((254, b"\xfe"), (255, b"\xff\xff\x00"), (300, b"\xff\x2c\x01")):
+        p = PackedLayer(0, 300, 300, 1.0, [[(i, 1) for i in range(count)]])
+        body = b"".join(((i << 2) | 0b01).to_bytes(2, "little") for i in range(count))
+        assert encode(p).data == header_bytes(0, 300, 300, 1.0) + prefix + body
+        assert decode(encode(p)) == p
+
+
+def test_decode_rejects_bad_count_escape():
+    base = header_bytes(0, 300, 300, 1.0)
+    with pytest.raises(ValueError, match="unexpected end"):
+        decode(EncodedLayer(base + b"\xff\x01"))
+    with pytest.raises(ValueError, match="escaped count below 255"):
+        decode(EncodedLayer(base + b"\xff\x01\x00" + bytes([0x01, 0x00])))
 
 
 def test_encode_index_width_exceeded():
@@ -86,6 +97,8 @@ def test_encode_rejects_unsorted_or_out_of_extent_entries():
         encode(PackedLayer(0, 4, 4, 1.0, [[(2, 1), (1, 1)]]))
     with pytest.raises(ValueError, match="strictly increasing"):
         encode(PackedLayer(0, 6, 4, 1.0, [[], [(3, 1)]]))  # last bin extent is 2
+    with pytest.raises(ValueError, match="more entries than the bin holds"):
+        encode(PackedLayer(0, 4, 4, 1.0, [[(0, 1)] * 5]))
 
 
 def test_decode_rejects_invalid_code_bits():
@@ -136,6 +149,38 @@ def test_payload_size_formula(p):
     expect = HEADER_BITS + sum(8 + 8 * width * len(b) for b in p.bins)
     assert e.declared_bits == expect == 8 * len(e.data)
     assert entry_bits(p) == 8 * width * p.entry_count()
+
+
+@st.composite
+def full_layers(draw):
+    """A layer of one to two bins of a drawn size up to the maximum; its
+    gradient is constant (every entry selected), noisy or mostly zero."""
+    bin_size = draw(st.integers(1, MAX_BIN_SIZE))
+    n = (draw(st.integers(1, 2)) - 1) * bin_size + draw(st.integers(1, bin_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["constant", "noisy", "sparse"]))
+    if shape == "constant":
+        dw = np.full(n, 0.5, np.float32)
+    else:
+        dw = rng.standard_normal(n).astype(np.float32)
+        if shape == "sparse":
+            dw[rng.random(n) < 0.9] = 0.0
+    return bin_size, dw
+
+
+@given(full_layers())
+@example((500, np.full(500, 0.5, np.float32)))
+@example((MAX_BIN_SIZE, np.full(MAX_BIN_SIZE + 3, -0.25, np.float32)))
+@example((1, np.array([1.0, -2.0, 0.0], np.float32)))
+@settings(max_examples=40, deadline=None)
+def test_pack_encode_decode_unpack_round_trip_any_bin_size(layer):
+    bin_size, dw = layer
+    p, _ = pack(CodecState.zeros(dw.size), GradientVector(0, dw), BinConfig(bin_size))
+    e = encode(p)
+    assert decode(e) == p
+    np.testing.assert_array_equal(unpack(decode(e)).values, unpack(p).values)
+    counts = sum(8 + (16 if len(b) >= 255 else 0) for b in p.bins)
+    assert payload_bits(p) == e.declared_bits == HEADER_BITS + counts + entry_bits(p)
 
 
 # ------------------------------------------------------------ rate accounting
