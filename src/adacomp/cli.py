@@ -68,9 +68,10 @@ def main(argv=None) -> int:
         except DataError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CONFIG
-        if summary["diverged"]:
-            print(f"run diverged at epoch {summary['diverged']['epoch']}, "
-                  f"step {summary['diverged']['step']}; partial metrics written to {args.out}",
+        diverged = summary["diverged"]
+        if diverged:
+            print(f"run diverged: {diverged['reason']} at epoch {diverged['epoch']}, "
+                  f"step {diverged['step']}; partial metrics written to {args.out}",
                   file=sys.stderr)
             return EXIT_DIVERGED
         print(f"final test error {summary['final_test_error']:.4f}, "

@@ -4,8 +4,12 @@ Dense tensors only, layers limited to fully-connected, 5x5 valid
 convolution, ReLU, 2x2 max-pool and a softmax cross-entropy head. Each
 parameterized layer serializes its gradient as kernel values in row-major
 (out-map, in-map, row, col) order with the bias appended last; weight
-updates consume the same layout. A model instance is single-threaded: the
-forward pass caches what backward needs.
+updates consume the same layout. Layers hold only their parameters:
+``forward`` returns its output with a cache, ``backward(dy, cache)``
+returns the input gradient with that layer's parameter gradients, and
+nothing of a batch is stored on the layer. Any number of threads may run
+forward and backward on one model at once, as long as none of them updates
+its parameters meanwhile.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from .codec import GradientVector
 
 # per parameterized layer: [dW, db] float32 arrays
 ModelGradients = list[list[np.ndarray]]
+# what Model.backward needs of one batch: (per-layer caches, probs, labels)
+ForwardCache = tuple[list, np.ndarray, np.ndarray]
 
 
 class FullyConnected:
@@ -30,26 +36,17 @@ class FullyConnected:
             raise ValueError(f"unknown init {init!r}")
         self.weight = rng.uniform(-limit, limit, size=(n_out, n_in)).astype(np.float32)
         self.bias = np.zeros(n_out, dtype=np.float32)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._x = None
-        self._x_shape = None
 
     def params(self):
         return [self.weight, self.bias]
 
-    def grads(self):
-        return [self.grad_weight, self.grad_bias]
+    def forward(self, x: np.ndarray):
+        flat = x.reshape(x.shape[0], -1)
+        return flat @ self.weight.T + self.bias, (flat, x.shape)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
-        self._x = x.reshape(x.shape[0], -1)
-        return self._x @ self.weight.T + self.bias
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        self.grad_weight = dy.T @ self._x
-        self.grad_bias = dy.sum(axis=0)
-        return (dy @ self.weight).reshape(self._x_shape)
+    def backward(self, dy: np.ndarray, cache):
+        flat, x_shape = cache
+        return (dy @ self.weight).reshape(x_shape), [dy.T @ flat, dy.sum(axis=0)]
 
 
 class Conv5x5:
@@ -64,19 +61,11 @@ class Conv5x5:
         limit = np.sqrt(6.0 / fan_in)
         self.weight = rng.uniform(-limit, limit, size=(out_maps, in_maps, self.K, self.K)).astype(np.float32)
         self.bias = np.zeros(out_maps, dtype=np.float32)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._cols = None
-        self._x_shape = None
-        self._out_hw = None
 
     def params(self):
         return [self.weight, self.bias]
 
-    def grads(self):
-        return [self.grad_weight, self.grad_bias]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
         b, c, h, w = x.shape
         if c != self.in_maps:
             raise ValueError(f"expected {self.in_maps} input maps, got {c}")
@@ -89,47 +78,39 @@ class Conv5x5:
         for r in range(k):
             for q in range(k):
                 cols[:, :, r, q, :, :] = x[:, :, r:r + s * oh:s, q:q + s * ow:s]
-        self._cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * k * k)
-        self._x_shape = x.shape
-        self._out_hw = (oh, ow)
+        cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * k * k)
         wmat = self.weight.reshape(self.out_maps, -1)
-        out = self._cols @ wmat.T + self.bias
-        return out.reshape(b, oh, ow, self.out_maps).transpose(0, 3, 1, 2)
+        out = cols @ wmat.T + self.bias
+        return out.reshape(b, oh, ow, self.out_maps).transpose(0, 3, 1, 2), (cols, x.shape)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, c, h, w = self._x_shape
+    def backward(self, dy: np.ndarray, cache):
+        cols, x_shape = cache
+        b, c = x_shape[:2]
+        oh, ow = dy.shape[2:]
         k, s = self.K, self.stride
-        oh, ow = self._out_hw
         dmat = dy.transpose(0, 2, 3, 1).reshape(b * oh * ow, self.out_maps)
-        self.grad_weight = (dmat.T @ self._cols).reshape(self.weight.shape)
-        self.grad_bias = dmat.sum(axis=0)
+        grads = [(dmat.T @ cols).reshape(self.weight.shape), dmat.sum(axis=0)]
         dcols = (dmat @ self.weight.reshape(self.out_maps, -1))
         dcols = dcols.reshape(b, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-        dx = np.zeros(self._x_shape, dtype=np.float32)
+        dx = np.zeros(x_shape, dtype=np.float32)
         for r in range(k):
             for q in range(k):
                 dx[:, :, r:r + s * oh:s, q:q + s * ow:s] += dcols[:, :, r, q]
-        return dx
+        return dx, grads
 
 
 class ReLU:
     kind = "relu"
 
-    def __init__(self):
-        self._mask = None
-
     def params(self):
         return []
 
-    def grads(self):
-        return []
+    def forward(self, x: np.ndarray):
+        mask = x > 0
+        return np.where(mask, x, np.float32(0.0)), mask
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, np.float32(0.0))
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dy, np.float32(0.0))
+    def backward(self, dy: np.ndarray, mask):
+        return np.where(mask, dy, np.float32(0.0)), []
 
 
 class MaxPool2x2:
@@ -138,14 +119,7 @@ class MaxPool2x2:
 
     kind = "pool"
 
-    def __init__(self):
-        self._idx = None
-        self._x_shape = None
-
     def params(self):
-        return []
-
-    def grads(self):
         return []
 
     def _windows(self, x):
@@ -154,21 +128,21 @@ class MaxPool2x2:
         v = x[:, :, :2 * oh, :2 * ow].reshape(b, c, oh, 2, ow, 2)
         return v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4), oh, ow
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
         v, oh, ow = self._windows(x)
-        self._x_shape = x.shape
-        self._idx = v.argmax(axis=-1)
-        return np.take_along_axis(v, self._idx[..., None], axis=-1)[..., 0]
+        idx = v.argmax(axis=-1)
+        return np.take_along_axis(v, idx[..., None], axis=-1)[..., 0], (idx, x.shape)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, c, h, w = self._x_shape
+    def backward(self, dy: np.ndarray, cache):
+        idx, x_shape = cache
+        b, c, h, w = x_shape
         oh, ow = h // 2, w // 2
         scattered = np.zeros((b, c, oh, ow, 4), dtype=np.float32)
-        np.put_along_axis(scattered, self._idx[..., None], dy[..., None], axis=-1)
-        dx = np.zeros(self._x_shape, dtype=np.float32)
+        np.put_along_axis(scattered, idx[..., None], dy[..., None], axis=-1)
+        dx = np.zeros(x_shape, dtype=np.float32)
         dx[:, :, :2 * oh, :2 * ow] = (
             scattered.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, 2 * oh, 2 * ow))
-        return dx
+        return dx, []
 
 
 class SoftmaxXent:
@@ -178,20 +152,20 @@ class SoftmaxXent:
 
     def __init__(self, classes: int):
         self.classes = classes
-        self._probs = None
 
-    def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
+    def loss(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+        """(mean loss, softmax probabilities)"""
         if logits.shape[1] != self.classes:
             raise ValueError(f"expected {self.classes} logits, got {logits.shape[1]}")
         z = logits - logits.max(axis=1, keepdims=True)
         ez = np.exp(z)
         denom = ez.sum(axis=1, keepdims=True)
-        self._probs = ez / denom
+        probs = ez / denom
         logp = z - np.log(denom)
-        return float(-np.mean(logp[np.arange(len(labels)), labels]))
+        return float(-np.mean(logp[np.arange(len(labels)), labels])), probs
 
-    def backward(self, labels: np.ndarray) -> np.ndarray:
-        grad = self._probs.copy()
+    def backward(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        grad = probs.copy()
         grad[np.arange(len(labels)), labels] -= np.float32(1.0)
         return grad / np.float32(len(labels))
 
@@ -216,28 +190,34 @@ class Model:
             names.append(f"{l.kind}{i}")
         return names
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
+    def _logits(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+        caches = []
         for l in self.layers:
-            x = l.forward(x)
-        return x
+            x, cache = l.forward(x)
+            caches.append(cache)
+        return x, caches
 
-    def forward(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """Run the batch through the stack; returns (mean loss, predictions)
-        and caches activations for backward()."""
-        logits = self.logits(x)
-        loss = self.head.loss(logits, labels)
-        return loss, logits.argmax(axis=1)
+    def forward(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, ForwardCache]:
+        """Run the batch through the stack; returns the mean loss and the
+        cache that backward() takes."""
+        logits, caches = self._logits(x)
+        loss, probs = self.head.loss(logits, labels)
+        return loss, (caches, probs, labels)
 
-    def backward(self, labels: np.ndarray) -> ModelGradients:
-        """Gradients of the mean batch loss for every parameterized layer;
-        forward() must have run on this batch."""
-        dy = self.head.backward(labels)
-        for l in reversed(self.layers):
-            dy = l.backward(dy)
-        return [list(l.grads()) for l in self.param_layers]
+    def backward(self, cache: ForwardCache) -> ModelGradients:
+        """Gradients of the mean batch loss for every parameterized layer,
+        from the cache of that batch's forward()."""
+        caches, probs, labels = cache
+        dy = self.head.backward(probs, labels)
+        grads = []
+        for l, c in zip(reversed(self.layers), reversed(caches)):
+            dy, g = l.backward(dy, c)
+            if g:
+                grads.append(g)
+        return grads[::-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.logits(x).argmax(axis=1)
+        return self._logits(x)[0].argmax(axis=1)
 
 
 def serialize_grad(grads: ModelGradients) -> list[GradientVector]:

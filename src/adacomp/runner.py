@@ -102,7 +102,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 pooled = [cluster.pooled_abs_residue(i) for i in range(n_layers)]
                 write_histogram_csv(out_dir / f"rg_hist_epoch{epoch}.csv", layer_names, pooled)
     except DivergenceError as e:
-        diverged = {"epoch": e.epoch, "step": e.step}
+        diverged = {"epoch": e.epoch, "step": e.step, "reason": e.reason}
     finally:
         writer.close()
 

@@ -4,10 +4,10 @@ learners.
 Every step each learner computes gradients on its shard of the global
 mini-batch and compresses them layer by layer against its own residue. The
 simulated exchange is lossless, so every learner would decompress the same
-N packs and average them in the same rank order. The cluster therefore
-decompresses and averages each layer once per step and hands that one
-average to every learner's optimizer, so weights stay bitwise identical
-across ranks. The whole run is a pure function of (config, seed).
+N packs, average them in the same rank order and apply the same update to
+the same weights. The cluster therefore holds one parameter set and one
+optimizer for all ranks, and N residues: it averages each layer once per
+step and updates once. The whole run is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import (
+    DensePacked,
+    OneBitPacked,
+    TopKPacked,
     identity_pack,
     ls_pack,
     onebit_pack,
@@ -26,9 +29,9 @@ from .baselines import (
     unpack_onebit,
     unpack_topk,
 )
-from .codec import BinConfig, CodecState, GradientVector, pack, unpack
+from .codec import BinConfig, CodecState, PackedLayer, pack, unpack
 from .data import Dataset
-from .nn import Model, serialize_grad, split_vector
+from .nn import serialize_grad, split_vector
 from .wire import payload_bits
 
 
@@ -40,112 +43,52 @@ class DivergenceError(RuntimeError):
         super().__init__(f"{reason} at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
+        self.reason = reason
 
 
 # ------------------------------------------------------------------- codecs
 
-class AdaCompCodec:
-    kind = "adacomp"
+def make_codec(kind: str, **params):
+    """A ``(state, gv) -> (pack, state)`` callable for one codec kind, its
+    parameters checked now. The callable looks the pack function up in this
+    module each time it runs."""
+    def adacomp(bin_size, scale_factor=2.0):
+        cfg = BinConfig(bin_size=bin_size, scale_factor=scale_factor)
+        return lambda state, gv: pack(state, gv, cfg)
 
-    def __init__(self, bin_size: int, scale_factor: float = 2.0):
-        self.cfg = BinConfig(bin_size=bin_size, scale_factor=scale_factor)
+    def ls(bin_size):
+        bin_size = int(BinConfig(bin_size=bin_size).bin_size)
+        return lambda state, gv: ls_pack(state, gv, bin_size)
 
-    def pack(self, state, gv):
-        return pack(state, gv, self.cfg)
-
-    def to_dense(self, p):
-        return unpack(p).values
-
-    def payload_bits(self, p):
-        return payload_bits(p)
-
-    def bin_counts(self, p):
-        return [len(b) for b in p.bins]
-
-
-class LocalSelectionCodec:
-    kind = "ls"
-
-    def __init__(self, bin_size: int):
-        self.bin_size = int(bin_size)
-
-    def pack(self, state, gv):
-        return ls_pack(state, gv, self.bin_size)
-
-    def to_dense(self, p):
-        return unpack(p).values
-
-    def payload_bits(self, p):
-        return payload_bits(p)
-
-    def bin_counts(self, p):
-        return [len(b) for b in p.bins]
-
-
-class TopPercentCodec:
-    kind = "topk"
-
-    def __init__(self, fraction: float):
+    def topk(fraction):
+        fraction = float(fraction)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = float(fraction)
+        return lambda state, gv: topk_pack(state, gv, fraction)
 
-    def pack(self, state, gv):
-        return topk_pack(state, gv, self.fraction)
+    def onebit():
+        return lambda state, gv: onebit_pack(state, gv)
 
-    def to_dense(self, p):
-        return unpack_topk(p).values
+    def identity():
+        return lambda state, gv: identity_pack(state, gv)
 
-    def payload_bits(self, p):
-        return payload_bits(p)
-
-    def bin_counts(self, p):
-        return None
-
-
-class OneBitCodec:
-    kind = "onebit"
-
-    def pack(self, state, gv):
-        return onebit_pack(state, gv)
-
-    def to_dense(self, p):
-        return unpack_onebit(p).values
-
-    def payload_bits(self, p):
-        return payload_bits(p)
-
-    def bin_counts(self, p):
-        return None
-
-
-class IdentityCodec:
-    kind = "identity"
-
-    def pack(self, state, gv):
-        return identity_pack(state, gv)
-
-    def to_dense(self, p):
-        return unpack_dense(p).values
-
-    def payload_bits(self, p):
-        return payload_bits(p)
-
-    def bin_counts(self, p):
-        return None
-
-
-def make_codec(kind: str, **params):
-    table = {
-        "adacomp": AdaCompCodec,
-        "ls": LocalSelectionCodec,
-        "topk": TopPercentCodec,
-        "onebit": OneBitCodec,
-        "identity": IdentityCodec,
-    }
+    table = {"adacomp": adacomp, "ls": ls, "topk": topk, "onebit": onebit, "identity": identity}
     if kind not in table:
         raise ValueError(f"unknown codec kind {kind!r}")
     return table[kind](**params)
+
+
+def to_dense(p) -> np.ndarray:
+    """The float32 values any codec's pack reconstructs to."""
+    if isinstance(p, PackedLayer):
+        return unpack(p).values
+    if isinstance(p, TopKPacked):
+        return unpack_topk(p).values
+    if isinstance(p, OneBitPacked):
+        return unpack_onebit(p).values
+    if isinstance(p, DensePacked):
+        return unpack_dense(p).values
+    raise TypeError(f"unknown pack type: {type(p).__name__}")
 
 
 # ----------------------------------------------------------------- sharding
@@ -170,23 +113,19 @@ class StepMetrics:
     rg_p95: list[float]
 
 
-@dataclass
-class Learner:
-    rank: int
-    model: Model
-    optimizer: object
-    codec_states: list[CodecState]
-
-
 class Cluster:
     """N synchronous learners over one training set.
 
-    Each learner keeps its own model replica, optimizer and residues. A step
-    decompresses every layer's N packs once, averages them in rank order in
-    float32, and applies that average through each learner's optimizer.
+    Every learner would hold the same weights and apply the same update, so
+    the cluster holds one model and one optimizer; what each rank owns is
+    its shard of the batch and its residue per layer
+    (``codec_states[rank]``). A step runs every rank's forward and backward
+    on the shared model, packs each rank's gradients against its residues,
+    averages each layer's N packs once in rank order in float32, and
+    applies that average with one optimizer update.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
-    codec instance; kinds left out run uncompressed.
+    ``make_codec`` callable; kinds left out run uncompressed.
     """
 
     def __init__(self, build_model, train: Dataset, codec_by_kind: dict,
@@ -206,18 +145,16 @@ class Cluster:
         self.seed = seed
         self.threads = max(1, int(threads))
 
-        reference = build_model(seed)
-        self.layer_names = reference.layer_names()
-        self.layer_kinds = [l.kind for l in reference.param_layers]
-        self.param_shapes = [[p.shape for p in l.params()] for l in reference.param_layers]
-        self.layer_sizes = [sum(int(np.prod(s)) for s in shapes) for shapes in self.param_shapes]
-        self.codecs = [codec_by_kind.get(kind, IdentityCodec()) for kind in self.layer_kinds]
-
-        self.learners = []
-        for rank in range(num_learners):
-            model = build_model(seed)
-            states = [CodecState.zeros(n) for n in self.layer_sizes]
-            self.learners.append(Learner(rank, model, make_opt(), states))
+        self.model = build_model(seed)
+        self.optimizer = make_opt()
+        param_layers = self.model.param_layers
+        self.layer_names = self.model.layer_names()
+        self.param_shapes = [[p.shape for p in l.params()] for l in param_layers]
+        self.layer_sizes = [sum(p.size for p in l.params()) for l in param_layers]
+        identity = make_codec("identity")
+        self.codecs = [codec_by_kind.get(l.kind, identity) for l in param_layers]
+        self.codec_states = [[CodecState.zeros(n) for n in self.layer_sizes]
+                             for _ in range(num_learners)]
 
         self.epoch = 0
         self.global_step = 0
@@ -243,63 +180,56 @@ class Cluster:
         self._step_in_epoch += 1
         return batches
 
-    def _compute_and_pack(self, learner: Learner, x, y):
-        loss, _ = learner.model.forward(x, y)
+    def _compute_and_pack(self, rank: int, x, y):
+        loss, cache = self.model.forward(x, y)
         if not np.isfinite(loss):
             raise DivergenceError(self.epoch, self.global_step,
-                                  f"non-finite loss {loss} on rank {learner.rank}")
-        grads = learner.model.backward(y)
+                                  f"non-finite loss {loss} on rank {rank}")
+        grads = self.model.backward(cache)
+        states = self.codec_states[rank]
         packs = []
         for li, gv in enumerate(serialize_grad(grads)):
             # checked before packing, so no residue takes in an inf or NaN
             if not np.isfinite(gv.values).all():
                 raise DivergenceError(
                     self.epoch, self.global_step,
-                    f"non-finite gradient in layer {self.layer_names[li]} on rank {learner.rank}")
-            packed, learner.codec_states[li] = self.codecs[li].pack(learner.codec_states[li], gv)
+                    f"non-finite gradient in layer {self.layer_names[li]} on rank {rank}")
+            packed, states[li] = self.codecs[li](states[li], gv)
             packs.append(packed)
         return loss, packs
 
     def sync_step(self) -> StepMetrics:
-        batches = self._next_batches()
-        jobs = list(zip(self.learners, batches))
+        jobs = list(enumerate(self._next_batches()))
         if self.threads > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 results = list(pool.map(lambda j: self._compute_and_pack(j[0], *j[1]), jobs))
         else:
-            results = [self._compute_and_pack(l, x, y) for l, (x, y) in jobs]
+            results = [self._compute_and_pack(rank, x, y) for rank, (x, y) in jobs]
         losses = [r[0] for r in results]
         all_packs = [r[1] for r in results]
 
-        # barrier: the exchange is lossless, so one rank-order average per
-        # layer is what every learner would compute; optimizers only read it
+        # barrier: the exchange is lossless, so the rank-order average of
+        # each layer is what every learner would compute
         grads: list[np.ndarray] = []
         for li, size in enumerate(self.layer_sizes):
             acc = np.zeros(size, dtype=np.float32)
-            for rank in range(self.num_learners):
-                acc += self.codecs[li].to_dense(all_packs[rank][li])
+            for packs in all_packs:
+                acc += to_dense(packs[li])
             acc /= np.float32(self.num_learners)
             grads.extend(split_vector(acc, self.param_shapes[li]))
-        for learner in self.learners:
-            learner.optimizer.update(
-                [p for layer in learner.model.param_layers for p in layer.params()], grads)
+        self.optimizer.update([p for l in self.model.param_layers for p in l.params()], grads)
 
         self.global_step += 1
         return self._metrics(losses, all_packs)
 
     def _metrics(self, losses, all_packs) -> StepMetrics:
-        n_layers = len(self.layer_sizes)
         bits, rates, sel_mean, sel_max, rg_p95 = [], [], [], [], []
-        for li in range(n_layers):
-            layer_bits = sum(self.codecs[li].payload_bits(all_packs[r][li])
-                             for r in range(self.num_learners))
+        for li, size in enumerate(self.layer_sizes):
+            packs = [p[li] for p in all_packs]
+            layer_bits = sum(payload_bits(p) for p in packs)
             bits.append(layer_bits)
-            rates.append(32.0 * self.layer_sizes[li] * self.num_learners / layer_bits)
-            counts: list[int] = []
-            for r in range(self.num_learners):
-                c = self.codecs[li].bin_counts(all_packs[r][li])
-                if c is not None:
-                    counts.extend(c)
+            rates.append(32.0 * size * self.num_learners / layer_bits)
+            counts = [len(b) for p in packs if isinstance(p, PackedLayer) for b in p.bins]
             if counts:
                 sel_mean.append(float(np.mean(counts)))
                 sel_max.append(float(max(counts)))
@@ -315,27 +245,23 @@ class Cluster:
         """|residue| of one layer over every rank, in rank order, as a new
         flat array; each rank's |residue| is written straight into it."""
         pooled = np.empty((self.num_learners, self.layer_sizes[layer_index]))
-        for row, learner in zip(pooled, self.learners):
-            np.abs(learner.codec_states[layer_index].residue, out=row)
+        for row, states in zip(pooled, self.codec_states):
+            np.abs(states[layer_index].residue, out=row)
         return pooled.reshape(-1)
 
     def evaluate(self, test: Dataset, batch: int = 512) -> float:
-        """Test error rate of the (rank-identical) model."""
-        model = self.learners[0].model
+        """Test error rate of the model."""
         wrong = 0
         for start in range(0, len(test), batch):
             x = test.features[start:start + batch]
             y = test.labels[start:start + batch]
-            wrong += int((model.predict(x) != y).sum())
+            wrong += int((self.model.predict(x) != y).sum())
         return wrong / len(test)
 
     def weights_identical(self) -> bool:
-        ref = self.learners[0].model
-        for l in self.learners[1:]:
-            for a, b in zip(ref.param_layers, l.model.param_layers):
-                for p, q in zip(a.params(), b.params()):
-                    if not np.array_equal(p, q):
-                        return False
+        """Whether every rank holds the same weights: true by construction,
+        as the ranks share one parameter set. The N-replica reference in
+        tests/oracles.py is what checks that this sharing is exact."""
         return True
 
 

@@ -51,6 +51,10 @@ def entry_width_bytes(bin_size: int) -> int:
 
 def encode(p: PackedLayer) -> EncodedLayer:
     """Serialize a packed layer; raises if the pack violates its invariants."""
+    if not 0 <= p.layer_id <= 0xFFFF:
+        raise ValueError(f"invalid pack: layer_id {p.layer_id} does not fit in u16")
+    if p.element_count > 0xFFFFFFFF:
+        raise ValueError(f"invalid pack: element_count {p.element_count} does not fit in u32")
     if p.bin_size > MAX_BIN_SIZE:
         raise ValueError("index width exceeded")
     if p.bin_size < 1 or p.element_count < 1:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written as plain element-by-element loops
 over float64 scalars, mirroring the production code's arithmetic order but
-sharing none of its vectorized structure.
+sharing none of its vectorized structure. ``ReplicaReference`` is the
+exception: it is the N-replica simulation that the single-replica
+``Cluster`` must reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from adacomp.codec import CodecState
+from adacomp.nn import serialize_grad
+from adacomp.sim import make_codec, shard, to_dense
 
 
 def _to_f64_list(values) -> list[np.float64]:
@@ -129,30 +135,56 @@ def onebit_pack_reference(residue, dw):
             float(np.float32(neg_scale)), np.array(new_res, dtype=np.float64))
 
 
-def exchange_reference_step(cluster):
-    """One synchronous step of ``cluster`` in which every learner unpacks
-    all N packs and averages them itself, in rank order, before its own
-    optimizer update. Batching, compression and the step metrics are the
-    cluster's own; only the exchange is done the naive way."""
-    batches = cluster._next_batches()
-    results = [cluster._compute_and_pack(l, x, y) for l, (x, y) in zip(cluster.learners, batches)]
-    losses = [r[0] for r in results]
-    all_packs = [r[1] for r in results]
-    for learner in cluster.learners:
-        params, grads = [], []
-        for li, layer in enumerate(learner.model.param_layers):
-            acc = np.zeros(cluster.layer_sizes[li], dtype=np.float32)
-            for rank in range(cluster.num_learners):
-                acc += cluster.codecs[li].to_dense(all_packs[rank][li])
-            acc /= np.float32(cluster.num_learners)
-            pos = 0
-            for p in layer.params():
-                params.append(p)
-                grads.append(acc[pos:pos + p.size].reshape(p.shape))
-                pos += p.size
-        learner.optimizer.update(params, grads)
-    cluster.global_step += 1
-    return cluster._metrics(losses, all_packs)
+class ReplicaReference:
+    """N data-parallel learners as a real job runs them: each rank keeps its
+    own model replica, optimizer and residues, computes on its own replica,
+    and unpacks and averages all N packs of a layer itself, in rank order in
+    float32, before its own optimizer update. Takes the same arguments as
+    ``Cluster``; the nn engine, the codecs and the sharding are the
+    production ones, checked by their own tests."""
+
+    def __init__(self, build_model, train, codec_by_kind, make_opt, num_learners,
+                 global_minibatch, seed):
+        self.train = train
+        self.num_learners = num_learners
+        self.local_batch = global_minibatch // num_learners
+        self.seed = seed
+        self.models = [build_model(seed) for _ in range(num_learners)]
+        self.optimizers = [make_opt() for _ in range(num_learners)]
+        layers = self.models[0].param_layers
+        self.codecs = [codec_by_kind.get(l.kind, make_codec("identity")) for l in layers]
+        self.states = [[CodecState.zeros(sum(p.size for p in l.params())) for l in layers]
+                       for _ in range(num_learners)]
+
+    def step(self, epoch, t):
+        """Step ``t`` of ``epoch``; returns the mean loss over the ranks and
+        every rank's packs."""
+        streams = shard(len(self.train), self.num_learners, self.seed, epoch)
+        b = self.local_batch
+        losses, all_packs = [], []
+        for rank, model in enumerate(self.models):
+            idx = streams[rank][t * b:(t + 1) * b]
+            loss, cache = model.forward(self.train.features[idx], self.train.labels[idx])
+            packs = []
+            for li, gv in enumerate(serialize_grad(model.backward(cache))):
+                packed, self.states[rank][li] = self.codecs[li](self.states[rank][li], gv)
+                packs.append(packed)
+            losses.append(loss)
+            all_packs.append(packs)
+        for model, optimizer in zip(self.models, self.optimizers):
+            params, grads = [], []
+            for li, layer in enumerate(model.param_layers):
+                acc = np.zeros(self.states[0][li].residue.size, dtype=np.float32)
+                for packs in all_packs:
+                    acc += to_dense(packs[li])
+                acc /= np.float32(self.num_learners)
+                pos = 0
+                for p in layer.params():
+                    params.append(p)
+                    grads.append(acc[pos:pos + p.size].reshape(p.shape))
+                    pos += p.size
+            optimizer.update(params, grads)
+        return sum(losses) / len(losses), all_packs
 
 
 def nearest_rank_reference(values, pct):
@@ -167,8 +199,8 @@ def pooled_p95_reference(cluster, layer_index):
     """95th nearest-rank percentile of |residue| for one layer, pooled over
     every rank's residue element by element."""
     magnitudes = []
-    for learner in cluster.learners:
-        for v in learner.codec_states[layer_index].residue:
+    for states in cluster.codec_states:
+        for v in states[layer_index].residue:
             magnitudes.append(abs(float(v)))
     return nearest_rank_reference(magnitudes, 95.0)
 

@@ -181,7 +181,11 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     assert (out / "metrics.csv").exists()  # partial metrics flushed
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["diverged"] is not None
+    diverged = summary["diverged"]
+    assert sorted(diverged) == ["epoch", "reason", "step"]
+    assert diverged["reason"].startswith("non-finite ")
+    err = capsys.readouterr().err
+    assert f"{diverged['reason']} at epoch {diverged['epoch']}, step {diverged['step']}" in err
 
 
 def test_cli_sweep(tmp_path):

@@ -94,8 +94,8 @@ def test_gaussians_linearly_separable_at_4_sigma():
     model = build_mlp(12, [], 3, seed=0)  # plain linear softmax
     opt = SGDMomentum(lr=0.2)
     for _ in range(120):
-        model.forward(ds.features, ds.labels)
-        grads = model.backward(ds.labels)
+        _, cache = model.forward(ds.features, ds.labels)
+        grads = model.backward(cache)
         params = [p for l in model.param_layers for p in l.params()]
         opt.update(params, [g for parts in grads for g in parts])
     acc = float((model.predict(ds.features) == ds.labels).mean())

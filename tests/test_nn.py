@@ -23,9 +23,9 @@ def rel_err(a, b):
 def check_against_fd(model, x, y, eps=1e-3, tol=1e-2):
     """Backprop gradients must match central differences coordinate-wise;
     flat coordinates (both sides zero) compare absolutely."""
-    loss, _ = model.forward(x, y)
+    loss, cache = model.forward(x, y)
     assert np.isfinite(loss)
-    grads = model.backward(y)
+    grads = model.backward(cache)
     analytic = [g for parts in grads for g in parts]
     params = [p for layer in model.param_layers for p in layer.params()]
 
@@ -46,12 +46,13 @@ def test_fc_identity_forward():
     fc.weight = np.eye(3, dtype=np.float32)
     fc.bias[:] = 0
     x = np.array([[1.0, -2.0, 3.0]], np.float32)
-    np.testing.assert_array_equal(fc.forward(x), x)
+    out, _ = fc.forward(x)
+    np.testing.assert_array_equal(out, x)
 
 
 def test_softmax_xent_analytic_value():
     model = Model([], classes=2)
-    loss = model.head.loss(np.zeros((1, 2), np.float32), np.array([0]))
+    loss, _ = model.head.loss(np.zeros((1, 2), np.float32), np.array([0]))
     assert loss == pytest.approx(np.log(2.0), rel=1e-6)
 
 
@@ -91,8 +92,8 @@ def test_zero_input_zero_weight_fc_has_zero_weight_gradient():
     model = Model([fc], classes=2)
     x = np.zeros((3, 4), np.float32)
     y = np.array([0, 1, 0])
-    model.forward(x, y)
-    grads = model.backward(y)
+    _, cache = model.forward(x, y)
+    grads = model.backward(cache)
     np.testing.assert_array_equal(grads[0][0], np.zeros((2, 4), np.float32))
 
 
@@ -101,9 +102,9 @@ def test_final_bias_gradient_equals_mean_softmax_minus_onehot():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (8, 5)).astype(np.float32)
     y = rng.integers(0, 3, 8)
-    model.forward(x, y)
-    probs = model.head._probs.copy()
-    grads = model.backward(y)
+    _, cache = model.forward(x, y)
+    probs = cache[1].copy()
+    grads = model.backward(cache)
     onehot = np.zeros_like(probs)
     onehot[np.arange(8), y] = 1
     np.testing.assert_allclose(grads[-1][1], (probs - onehot).mean(axis=0), rtol=1e-5)
@@ -154,10 +155,11 @@ def test_maxpool_forward_and_tie_break():
                     [1, 1, 2, 0],
                     [3, 0, 5, 5],
                     [0, 3, 5, 5]]]], np.float32)
-    out = pool.forward(x)
+    out, cache = pool.forward(x)
     np.testing.assert_array_equal(out[0, 0], [[1, 2], [3, 5]])
     dy = np.ones_like(out)
-    dx = pool.backward(dy)
+    dx, grads = pool.backward(dy, cache)
+    assert grads == []
     # ties route the gradient to the lowest row-major window position
     np.testing.assert_array_equal(dx[0, 0], [[1, 0, 0, 1],
                                              [0, 0, 0, 0],
@@ -165,15 +167,31 @@ def test_maxpool_forward_and_tie_break():
                                              [0, 0, 0, 0]])
 
 
+def test_interleaved_batches_keep_their_own_caches():
+    # layers store nothing of a batch: a second forward between a batch's
+    # forward and backward leaves that batch's gradients unchanged
+    rng = np.random.default_rng(29)
+    model = Model([Conv5x5(1, 2, rng), ReLU(), MaxPool2x2(), FullyConnected(8, 3, rng)], classes=3)
+    xa, xb = rng.uniform(-1, 1, (2, 4, 1, 9, 9)).astype(np.float32)
+    ya, yb = np.array([0, 1, 2, 0]), np.array([2, 2, 1, 0])
+    alone = model.backward(model.forward(xa, ya)[1])
+    _, cache_a = model.forward(xa, ya)
+    _, cache_b = model.forward(xb, yb)
+    model.backward(cache_b)
+    for got, want in zip(model.backward(cache_a), alone, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
 # ------------------------------------------------------------- serialization
 
 def test_conv_serialization_layout():
     rng = np.random.default_rng(0)
     conv = Conv5x5(3, 2, rng)
-    conv.grad_weight = np.arange(150, dtype=np.float32).reshape(2, 3, 5, 5)
-    conv.grad_bias = np.array([900.0, 901.0], np.float32)
+    grad_weight = np.arange(150, dtype=np.float32).reshape(2, 3, 5, 5)
+    grad_bias = np.array([900.0, 901.0], np.float32)
     model = Model([conv], classes=2)
-    gv = serialize_grad([list(conv.grads())])[0]
+    gv = serialize_grad([[grad_weight, grad_bias]])[0]
     assert gv.length == 152
     # kernel element (o=1, i=2, r=4, c=4) sits at flat index 149
     assert gv.values[149] == 149.0
@@ -187,8 +205,8 @@ def test_split_vector_roundtrip():
     model = Model([fc], classes=3)
     x = rng.uniform(-1, 1, (4, 7)).astype(np.float32)
     y = np.array([0, 1, 2, 0])
-    model.forward(x, y)
-    grads = model.backward(y)
+    _, cache = model.forward(x, y)
+    grads = model.backward(cache)
     gv = serialize_grad(grads)[0]
     parts = split_vector(gv.values, [p.shape for p in fc.params()])
     np.testing.assert_array_equal(parts[0], grads[0][0])
@@ -212,8 +230,8 @@ def test_same_seed_same_losses_and_grads():
         rng = np.random.default_rng(42)
         x = rng.uniform(-1, 1, (6, 8)).astype(np.float32)
         y = rng.integers(0, 3, 6)
-        loss, _ = model.forward(x, y)
-        grads = model.backward(y)
+        loss, cache = model.forward(x, y)
+        grads = model.backward(cache)
         return loss, grads
 
     loss_a, grads_a = one(7)
@@ -233,8 +251,8 @@ def test_loss_decreases_on_separable_task():
     opt = SGDMomentum(lr=0.05)
     first = last = None
     for step in range(50):
-        loss, _ = model.forward(ds.features, ds.labels)
-        grads = model.backward(ds.labels)
+        loss, cache = model.forward(ds.features, ds.labels)
+        grads = model.backward(cache)
         params = [p for l in model.param_layers for p in l.params()]
         flat = [g for parts in grads for g in parts]
         opt.update(params, flat)

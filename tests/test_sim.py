@@ -1,4 +1,4 @@
-import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -6,23 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adacomp import sim
-from adacomp.data import synth_gaussians
-from adacomp.nn import build_mlp, serialize_grad
+from adacomp.baselines import DensePacked, OneBitPacked, TopKPacked
+from adacomp.codec import CodecState, GradientVector, PackedLayer
+from adacomp.data import synth_digits, synth_gaussians
+from adacomp.nn import build_cnn, build_mlp, serialize_grad
 from adacomp.optim import SGDMomentum
-from adacomp.sim import (
-    AdaCompCodec,
-    Cluster,
-    DivergenceError,
-    IdentityCodec,
-    LocalSelectionCodec,
-    OneBitCodec,
-    TopPercentCodec,
-    make_codec,
-    nearest_rank_percentile,
-    shard,
-)
+from adacomp.sim import Cluster, DivergenceError, make_codec, nearest_rank_percentile, shard
+from adacomp.wire import payload_bits
 
-from oracles import exchange_reference_step, nearest_rank_reference, pooled_p95_reference
+from oracles import ReplicaReference, nearest_rank_reference, pooled_p95_reference
 
 DIM, CLASSES = 12, 4
 
@@ -36,11 +28,16 @@ def builder(seed):
 
 
 def make_cluster(num_learners, minibatch, codec_by_kind=None, seed=1, lr=0.1,
-                 threads=1, train=None):
-    return Cluster(builder, train if train is not None else dataset(),
+                 threads=1, train=None, build=builder):
+    return Cluster(build, train if train is not None else dataset(),
                    codec_by_kind or {}, lambda: SGDMomentum(lr=lr),
                    num_learners=num_learners, global_minibatch=minibatch,
                    seed=seed, threads=threads)
+
+
+def make_reference(num_learners, minibatch, codec_by_kind=None, seed=1, lr=0.1):
+    return ReplicaReference(builder, dataset(), codec_by_kind or {},
+                            lambda: SGDMomentum(lr=lr), num_learners, minibatch, seed)
 
 
 def run_steps(cluster, epochs, collect=False):
@@ -52,8 +49,24 @@ def run_steps(cluster, epochs, collect=False):
     return out
 
 
-def weights_of(cluster, rank=0):
-    return [p.copy() for l in cluster.learners[rank].model.param_layers for p in l.params()]
+def weights_of(model):
+    return [p.copy() for l in model.param_layers for p in l.params()]
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_matches_replicas(cluster, ref):
+    """Every replica's weights and every rank's residues equal the
+    cluster's, bit for bit."""
+    for model in ref.models:
+        for a, b in zip(weights_of(cluster.model), weights_of(model), strict=True):
+            assert_bitwise(a, b)
+    for got, want in zip(cluster.codec_states, ref.states, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert_bitwise(a.residue, b.residue)
 
 
 # ------------------------------------------------------------------ sharding
@@ -88,7 +101,7 @@ def test_single_learner_identity_matches_plain_loop():
     train = dataset()
     cluster = make_cluster(1, 16, train=train)
     run_steps(cluster, 2)
-    got = weights_of(cluster)
+    got = weights_of(cluster.model)
 
     model = build_mlp(DIM, [8], CLASSES, 1)
     opt = SGDMomentum(lr=0.1)
@@ -96,8 +109,8 @@ def test_single_learner_identity_matches_plain_loop():
         streams = shard(len(train), 1, seed=1, epoch=epoch)[0]
         for t in range(len(train) // 16):
             idx = streams[t * 16:(t + 1) * 16]
-            model.forward(train.features[idx], train.labels[idx])
-            grads = model.backward(train.labels[idx])
+            _, cache = model.forward(train.features[idx], train.labels[idx])
+            grads = model.backward(cache)
             params = [p for l in model.param_layers for p in l.params()]
             # the identity codec roundtrips gradients bit-for-bit
             flats = [gv.values for gv in serialize_grad(grads)]
@@ -116,12 +129,11 @@ def test_two_learner_identity_matches_single_learner_gradient():
     results = {}
     for n in (1, 2):
         cluster = make_cluster(n, 32, lr=1.0, seed=2)
-        for l in cluster.learners:
-            l.optimizer.momentum = 0.0
-        before = weights_of(cluster)
+        cluster.optimizer.momentum = 0.0
+        before = weights_of(cluster.model)
         cluster.start_epoch(1)
         cluster.sync_step()
-        after = weights_of(cluster)
+        after = weights_of(cluster.model)
         results[n] = [b - a for a, b in zip(before, after)]
     for d1, d2 in zip(results[1], results[2]):
         norm = np.linalg.norm(d1.astype(np.float64))
@@ -131,36 +143,51 @@ def test_two_learner_identity_matches_single_learner_gradient():
 # ------------------------------------------------- weight identity & codecs
 
 ALL_CODECS = [
-    {"fc": AdaCompCodec(bin_size=10)},
-    {"fc": LocalSelectionCodec(bin_size=10)},
-    {"fc": TopPercentCodec(fraction=0.1)},
-    {"fc": OneBitCodec()},
-    {"fc": IdentityCodec()},
+    {"fc": make_codec("adacomp", bin_size=10)},
+    {"fc": make_codec("ls", bin_size=10)},
+    {"fc": make_codec("topk", fraction=0.1)},
+    {"fc": make_codec("onebit")},
+    {"fc": make_codec("identity")},
 ]
 
 
 @pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
 def test_weights_bitwise_identical_across_ranks(codec_by_kind):
-    cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    # one epoch of 16 steps at 8 ranks; the reference keeps 8 replicas
+    cluster = make_cluster(8, 16, codec_by_kind=codec_by_kind)
+    ref = make_reference(8, 16, codec_by_kind=codec_by_kind)
     cluster.start_epoch(1)
-    for _ in range(10):
+    for t in range(cluster.steps_per_epoch):
         cluster.sync_step()
-        assert cluster.weights_identical()
+        ref.step(1, t)
+        assert_matches_replicas(cluster, ref)
 
 
 @pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
 def test_exchange_matches_per_learner_reference(codec_by_kind):
-    fast = make_cluster(4, 16, codec_by_kind=codec_by_kind)
-    naive = make_cluster(4, 16, codec_by_kind=codec_by_kind)
-    fast.start_epoch(1)
-    naive.start_epoch(1)
-    for _ in range(10):
-        got = fast.sync_step()
-        want = exchange_reference_step(naive)
-        np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
-        for rank in range(4):
-            for a, b in zip(weights_of(fast, rank), weights_of(naive, rank)):
-                np.testing.assert_array_equal(a, b)
+    cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    ref = make_reference(4, 16, codec_by_kind=codec_by_kind)
+    for epoch in (1, 2):
+        cluster.start_epoch(epoch)
+        for t in range(5):
+            got = cluster.sync_step()
+            loss, packs = ref.step(epoch, t)
+            assert got.train_loss == loss
+            assert got.payload_bits == [sum(payload_bits(p[li]) for p in packs)
+                                        for li in range(len(cluster.layer_sizes))]
+            assert_matches_replicas(cluster, ref)
+
+
+def test_sync_step_updates_optimizer_once(monkeypatch):
+    calls = []
+    original = SGDMomentum.update
+    monkeypatch.setattr(SGDMomentum, "update",
+                        lambda self, *a: calls.append(self) or original(self, *a))
+    cluster = make_cluster(4, 16, codec_by_kind=ALL_CODECS[0])
+    cluster.start_epoch(1)
+    for step in range(1, 4):
+        cluster.sync_step()
+        assert calls == [cluster.optimizer] * step
 
 
 def bits_of(x):
@@ -190,36 +217,66 @@ def test_sync_step_unpacks_each_pack_once(codec_by_kind, monkeypatch):
 
 
 def test_adacomp_weight_identity_over_100_steps():
-    cluster = make_cluster(4, 16, codec_by_kind={"fc": AdaCompCodec(bin_size=25)})
+    codec_by_kind = {"fc": make_codec("adacomp", bin_size=25)}
+    cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    ref = make_reference(4, 16, codec_by_kind=codec_by_kind)
     steps = 0
     epoch = 0
     while steps < 100:
         epoch += 1
         cluster.start_epoch(epoch)
-        for _ in range(cluster.steps_per_epoch):
+        for t in range(cluster.steps_per_epoch):
             cluster.sync_step()
+            ref.step(epoch, t)
+            assert_matches_replicas(cluster, ref)
             steps += 1
-            assert cluster.weights_identical()
             if steps == 100:
                 break
 
 
 def test_run_is_pure_function_of_seed():
-    metrics_a = run_steps(make_cluster(2, 16, {"fc": AdaCompCodec(bin_size=16)}, seed=5), 2)
-    metrics_b = run_steps(make_cluster(2, 16, {"fc": AdaCompCodec(bin_size=16)}, seed=5), 2)
+    adacomp = {"fc": make_codec("adacomp", bin_size=16)}
+    metrics_a = run_steps(make_cluster(2, 16, adacomp, seed=5), 2)
+    metrics_b = run_steps(make_cluster(2, 16, adacomp, seed=5), 2)
     assert metrics_a == metrics_b
-    metrics_c = run_steps(make_cluster(2, 16, {"fc": AdaCompCodec(bin_size=16)}, seed=6), 2)
+    metrics_c = run_steps(make_cluster(2, 16, adacomp, seed=6), 2)
     assert metrics_a != metrics_c
 
 
+def assert_same_clusters(a, b):
+    for p, q in zip(weights_of(a.model), weights_of(b.model), strict=True):
+        assert_bitwise(p, q)
+    for got, want in zip(a.codec_states, b.codec_states, strict=True):
+        for s, r in zip(got, want, strict=True):
+            assert_bitwise(s.residue, r.residue)
+
+
 def test_threaded_matches_sequential_bitwise():
-    a = make_cluster(4, 16, {"fc": AdaCompCodec(bin_size=16)}, threads=1)
-    b = make_cluster(4, 16, {"fc": AdaCompCodec(bin_size=16)}, threads=4)
+    a = make_cluster(4, 16, {"fc": make_codec("adacomp", bin_size=16)}, threads=1)
+    b = make_cluster(4, 16, {"fc": make_codec("adacomp", bin_size=16)}, threads=4)
     ma = run_steps(a, 1)
     mb = run_steps(b, 1)
     assert ma == mb
-    for p, q in zip(weights_of(a), weights_of(b)):
-        np.testing.assert_array_equal(p, q)
+    assert_same_clusters(a, b)
+
+
+def test_threaded_cnn_matches_sequential_bitwise():
+    # four ranks run conv, ReLU and pool on the same layers at once, each
+    # with its own caches; a short switch interval interleaves them finely
+    train = synth_digits(128, seed=3)
+    codecs = {"conv": make_codec("adacomp", bin_size=50), "fc": make_codec("adacomp", bin_size=50)}
+    clusters = [make_cluster(4, 32, codecs, threads=threads, train=train,
+                             build=lambda seed: build_cnn(1, [4, 8], 16, 10, seed))
+                for threads in (1, 4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ma, mb = (run_steps(c, 2) for c in clusters)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(ma) == 8
+    assert ma == mb
+    assert_same_clusters(*clusters)
 
 
 # ----------------------------------------------------------------- metrics
@@ -233,7 +290,7 @@ def test_identity_rate_is_exactly_one():
 
 
 def test_rate_column_consistent_with_payload_bits():
-    cluster = make_cluster(2, 16, {"fc": AdaCompCodec(bin_size=16)})
+    cluster = make_cluster(2, 16, {"fc": make_codec("adacomp", bin_size=16)})
     cluster.start_epoch(1)
     m = cluster.sync_step()
     for li, n in enumerate(cluster.layer_sizes):
@@ -260,21 +317,24 @@ def test_divergence_detector():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_gradient_stops_the_step(bad, monkeypatch):
-    cluster = make_cluster(2, 16, {"fc": AdaCompCodec(bin_size=50)})
-    model = cluster.learners[1].model
-    backward = model.backward
+    cluster = make_cluster(2, 16, {"fc": make_codec("adacomp", bin_size=50)})
+    backward = cluster.model.backward
+    calls = []
 
-    def poisoned(labels):
-        grads = backward(labels)
-        grads[1][0].flat[3] = bad
+    def poisoned(cache):
+        # ranks run in order on one thread: the second call is rank 1's
+        grads = backward(cache)
+        calls.append(1)
+        if len(calls) == 2:
+            grads[1][0].flat[3] = bad
         return grads
 
-    monkeypatch.setattr(model, "backward", poisoned)
+    monkeypatch.setattr(cluster.model, "backward", poisoned)
     cluster.start_epoch(1)
     with pytest.raises(DivergenceError, match="non-finite gradient in layer fc1 on rank 1") as e:
         cluster.sync_step()
     assert (e.value.epoch, e.value.step) == (1, 0)
-    assert all(np.isfinite(s.residue).all() for l in cluster.learners for s in l.codec_states)
+    assert all(np.isfinite(s.residue).all() for states in cluster.codec_states for s in states)
 
 
 def test_cluster_validation():
@@ -287,13 +347,46 @@ def test_cluster_validation():
 
 
 def test_make_codec_registry():
-    assert isinstance(make_codec("adacomp", bin_size=50), AdaCompCodec)
-    assert isinstance(make_codec("ls", bin_size=50), LocalSelectionCodec)
-    assert isinstance(make_codec("topk", fraction=0.2), TopPercentCodec)
-    assert isinstance(make_codec("onebit"), OneBitCodec)
-    assert isinstance(make_codec("identity"), IdentityCodec)
+    gv = GradientVector(0, np.linspace(-1.0, 1.0, 120, dtype=np.float32))
+    for kind, params, pack_type in (("adacomp", {"bin_size": 50}, PackedLayer),
+                                    ("ls", {"bin_size": 50}, PackedLayer),
+                                    ("topk", {"fraction": 0.2}, TopKPacked),
+                                    ("onebit", {}, OneBitPacked),
+                                    ("identity", {}, DensePacked)):
+        packed, state = make_codec(kind, **params)(CodecState.zeros(120), gv)
+        assert type(packed) is pack_type and state.step == 1
+        assert sim.to_dense(packed).dtype == np.float32
     with pytest.raises(ValueError, match="unknown codec"):
         make_codec("zip")
+    with pytest.raises(ValueError, match="bin_size"):
+        make_codec("adacomp", bin_size=0)
+    with pytest.raises(ValueError, match="bin_size"):
+        make_codec("ls", bin_size=16385)
+    with pytest.raises(ValueError, match="scale_factor"):
+        make_codec("adacomp", bin_size=50, scale_factor=5.0)
+    for fraction in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="fraction"):
+            make_codec("topk", fraction=fraction)
+    with pytest.raises(TypeError):
+        make_codec("onebit", bin_size=50)
+    with pytest.raises(TypeError):
+        sim.to_dense(object())
+
+
+def test_codecs_look_up_pack_functions_at_call_time(monkeypatch):
+    # a name replaced on the module after make_codec is the one that runs
+    gv = GradientVector(0, np.ones(20, dtype=np.float32))
+    for kind, params, name in (("adacomp", {"bin_size": 5}, "pack"),
+                               ("ls", {"bin_size": 5}, "ls_pack"),
+                               ("topk", {"fraction": 0.5}, "topk_pack"),
+                               ("onebit", {}, "onebit_pack"),
+                               ("identity", {}, "identity_pack")):
+        codec = make_codec(kind, **params)
+        calls = []
+        original = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *a, f=original: calls.append(1) or f(*a))
+        codec(CodecState.zeros(20), gv)
+        assert calls == [1], kind
 
 
 def test_nearest_rank_percentile():

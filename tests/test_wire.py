@@ -92,6 +92,16 @@ def test_encode_index_width_exceeded():
         encode(p)
 
 
+@pytest.mark.parametrize("pack, field", [
+    (PackedLayer(70000, 10, 5, 1.0, [[], []]), "layer_id"),
+    (PackedLayer(-1, 10, 5, 1.0, [[], []]), "layer_id"),
+    (PackedLayer(0, 2**32, 16384, 1.0, [[]]), "element_count"),
+])
+def test_encode_rejects_header_field_overflow(pack, field):
+    with pytest.raises(ValueError, match=field):
+        encode(pack)
+
+
 def test_encode_rejects_unsorted_or_out_of_extent_entries():
     with pytest.raises(ValueError, match="strictly increasing"):
         encode(PackedLayer(0, 4, 4, 1.0, [[(2, 1), (1, 1)]]))
