@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecState, GradientVector, PackedLayer, bin_maxima, layer_scale, _bin_lengths
+from .codec import CodecState, GradientVector, PackedLayer, _pack_selected, bin_maxima, layer_scale
 
 
 @dataclass
@@ -63,20 +63,12 @@ def ls_pack(state: CodecState, dw: GradientVector, bin_size: int) -> tuple[Packe
     g = state.residue + w
     gmax = bin_maxima(g, bin_size)
     scale = np.float32(layer_scale(gmax))
-    selected = np.zeros(w.size, dtype=bool)
-    bins: list[list[tuple[int, int]]] = []
-    for b, start in enumerate(range(0, w.size, bin_size)):
-        stop = min(start + bin_size, w.size)
-        if scale == 0.0 or gmax[b] == 0.0:
-            bins.append([])
-            continue
-        i = int(np.argmax(np.abs(g[start:stop])))
-        selected[start + i] = True
-        bins.append([(i, 1 if g[start + i] >= 0.0 else -1)])
-    sent = np.where(g >= 0.0, np.float64(scale), -np.float64(scale))
-    new_residue = np.where(selected, g - sent, g)
-    packed = PackedLayer(dw.layer_id, int(w.size), int(bin_size), float(scale), bins)
-    return packed, CodecState(residue=new_residue, step=state.step + 1)
+    peaks = np.flatnonzero(np.abs(g) == np.repeat(gmax, bin_size)[:w.size])
+    # the first peak of each bin with a nonzero peak; nothing when the mean
+    # peak underflows float32
+    bins, first = np.unique(peaks // bin_size, return_index=True)
+    indices = peaks[first[(gmax[bins] > 0.0) & (scale != 0.0)]]
+    return _pack_selected(dw.layer_id, bin_size, g, indices, scale, state)
 
 
 def topk_pack(state: CodecState, dw: GradientVector, fraction: float) -> tuple[TopKPacked, CodecState]:

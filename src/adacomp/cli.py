@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             summary = run(cfg, Path(args.out), threads=threads)
-        except DataError as e:
+        except (ConfigError, DataError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CONFIG
         diverged = summary["diverged"]

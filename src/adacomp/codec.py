@@ -7,6 +7,9 @@ peak magnitude of its bin, and every transmitted element is encoded as
 sign * one shared per-layer scale (the mean of the per-bin peaks). Whatever
 was not sent, and the quantization error of what was, stays in the residue
 and is retried on the next step.
+
+A pack holds the increasing layer positions of the sent elements and their
+signs as two flat arrays; bins are derived from the positions, not stored.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# (index within bin, sign code +1/-1)
-Entry = tuple[int, int]
 
 # 16-bit wire entries leave 14 bits of index after the 2 code bits
 MAX_BIN_SIZE = 16384
@@ -65,26 +65,63 @@ class BinConfig:
             raise ValueError(f"scale_factor must be in [1.0, 4.0], got {self.scale_factor}")
 
 
-@dataclass
+@dataclass(eq=False)
 class PackedLayer:
     """Sparse ternary selection for one layer.
 
-    ``bins[i]`` lists (index-within-bin, code) entries with strictly
-    increasing indices; code +1/-1 reconstructs to +scale/-scale.
+    ``indices`` are the flat layer positions of the sent elements, strictly
+    increasing (int64), and ``signs`` the code of each (int8): +1/-1
+    reconstructs to +scale/-scale. Bin b is positions [b * bin_size,
+    (b + 1) * bin_size) cut at element_count; its entries are the indices
+    inside it.
     """
 
     layer_id: int
     element_count: int
     bin_size: int
     scale: float  # float32-representable, >= 0
-    bins: list[list[Entry]]
+    indices: np.ndarray
+    signs: np.ndarray
 
     @property
     def num_bins(self) -> int:
-        return len(self.bins)
+        return -(-self.element_count // self.bin_size)
 
     def entry_count(self) -> int:
-        return sum(len(b) for b in self.bins)
+        return int(self.indices.size)
+
+    def bin_counts(self) -> np.ndarray:
+        return np.bincount(self.indices // self.bin_size, minlength=self.num_bins)
+
+    @property
+    def bins(self) -> list[list[tuple[int, int]]]:
+        """Read-only view: per bin, its (index within bin, sign) entries."""
+        entries = list(zip((self.indices % self.bin_size).tolist(), self.signs.tolist()))
+        ends = np.cumsum(self.bin_counts()).tolist()
+        return [entries[a:b] for a, b in zip([0] + ends, ends)]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PackedLayer)
+                and (self.layer_id, self.element_count, self.bin_size, self.scale)
+                == (other.layer_id, other.element_count, other.bin_size, other.scale)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.signs, other.signs))
+
+    def validate(self) -> None:
+        """Raise ValueError unless this is a pack that encode can write and
+        unpack can expand."""
+        if not 1 <= self.bin_size <= MAX_BIN_SIZE:
+            raise ValueError(f"invalid pack: bin_size {self.bin_size} outside 1..{MAX_BIN_SIZE}")
+        if self.element_count < 1:
+            raise ValueError(f"invalid pack: element_count {self.element_count} below 1")
+        if not self.scale >= 0.0:
+            raise ValueError(f"invalid pack: scale {self.scale} is negative or NaN")
+        idx = self.indices
+        if idx.ndim != 1 or idx.size and not (
+                idx.min() >= 0 and idx.max() < self.element_count and (np.diff(idx) > 0).all()):
+            raise ValueError("invalid pack: indices not strictly increasing inside [0, element_count)")
+        if self.signs.shape != idx.shape or not (np.abs(self.signs) == 1).all():
+            raise ValueError("invalid pack: need one sign of +1 or -1 per index")
 
 
 @dataclass
@@ -105,19 +142,10 @@ class CodecState:
         return cls(residue=np.zeros(int(length), dtype=np.float64), step=0)
 
 
-def _values(g: GradientVector | np.ndarray) -> np.ndarray:
-    return g.values if isinstance(g, GradientVector) else np.asarray(g)
-
-
-def _bin_lengths(n: int, bin_size: int) -> np.ndarray:
-    edges = np.arange(0, n, bin_size)
-    return np.diff(np.append(edges, n))
-
-
 def bin_maxima(g: GradientVector | np.ndarray, bin_size: int) -> np.ndarray:
     """Largest absolute value in each bin; the last bin may be partial and is
     reduced over its true extent only."""
-    v = _values(g)
+    v = g.values if isinstance(g, GradientVector) else np.asarray(g)
     if v.size == 0:
         raise ValueError("empty gradient vector")
     if bin_size < 1:
@@ -138,6 +166,20 @@ def layer_scale(g_max: np.ndarray) -> float:
     return float(np.cumsum(g)[-1] / g.size)
 
 
+def _pack_selected(layer_id: int, bin_size: int, g: np.ndarray, indices: np.ndarray,
+                   scale: np.float32, state: CodecState) -> tuple[PackedLayer, CodecState]:
+    """The pack of g's elements at ``indices``, each sent as sign(g) * scale
+    with sign(+-0) = +1, and the successor state: ``g`` is the caller's own
+    array and becomes the new residue once the sent values are taken off."""
+    sent = g[indices]
+    positive = sent >= 0.0
+    s = np.float64(scale)
+    g[indices] = sent - np.where(positive, s, -s)
+    packed = PackedLayer(layer_id, int(g.size), int(bin_size), float(scale), indices,
+                         np.where(positive, 1, -1).astype(np.int8))
+    return packed, CodecState(residue=g, step=state.step + 1)
+
+
 def pack(state: CodecState, dw: GradientVector, cfg: BinConfig) -> tuple[PackedLayer, CodecState]:
     """Compress one layer's gradient against its residue.
 
@@ -154,35 +196,18 @@ def pack(state: CodecState, dw: GradientVector, cfg: BinConfig) -> tuple[PackedL
     h = g + (float(cfg.scale_factor) - 1.0) * w
     gmax = bin_maxima(g, cfg.bin_size)
     scale = np.float32(layer_scale(gmax))
-    per_elem_max = np.repeat(gmax, _bin_lengths(w.size, cfg.bin_size))
-    selected = (np.abs(h) >= per_elem_max) & (per_elem_max > 0.0)
-    if scale == 0.0:
-        # a layer whose mean peak underflows float32 sends nothing
-        selected = np.zeros_like(selected)
-    sent = np.where(g >= 0.0, np.float64(scale), -np.float64(scale))
-    new_residue = np.where(selected, g - sent, g)
-    bins: list[list[Entry]] = []
-    for start in range(0, w.size, cfg.bin_size):
-        stop = min(start + cfg.bin_size, w.size)
-        idx = np.flatnonzero(selected[start:stop])
-        bins.append([(int(i), 1 if g[start + i] >= 0.0 else -1) for i in idx])
-    packed = PackedLayer(dw.layer_id, int(w.size), int(cfg.bin_size), float(scale), bins)
-    return packed, CodecState(residue=new_residue, step=state.step + 1)
+    # an all-zero bin sends nothing, nor does a layer whose mean peak
+    # underflows float32: no finite |h| reaches an infinite threshold
+    threshold = np.where((gmax > 0.0) & (scale != 0.0), gmax, np.inf)
+    selected = np.abs(h, out=h) >= np.repeat(threshold, cfg.bin_size)[:w.size]
+    return _pack_selected(dw.layer_id, cfg.bin_size, g, np.flatnonzero(selected), scale, state)
 
 
 def unpack(p: PackedLayer) -> GradientVector:
-    """Expand a packed layer to its dense float32 form: code * scale at the
+    """Expand a packed layer to its dense float32 form: sign * scale at the
     packed positions, exact zero everywhere else."""
-    n = int(p.element_count)
-    if n < 1 or p.num_bins != -(-n // p.bin_size):
-        raise ValueError("corrupt pack: bin count does not match element count")
-    out = np.zeros(n, dtype=np.float32)
+    p.validate()
+    out = np.zeros(p.element_count, dtype=np.float32)
     scale = np.float32(p.scale)
-    for b, entries in enumerate(p.bins):
-        base = b * p.bin_size
-        extent = min(p.bin_size, n - base)
-        for idx, code in entries:
-            if not 0 <= idx < extent:
-                raise ValueError("corrupt pack: index outside bin extent")
-            out[base + idx] = scale if code > 0 else -scale
+    out[p.indices] = np.where(p.signs > 0, scale, -scale)
     return GradientVector(p.layer_id, out)

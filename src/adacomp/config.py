@@ -78,6 +78,14 @@ def _validate_model(spec, path="model") -> dict:
         hw = spec.get("image_hw", [28, 28])
         if not (isinstance(hw, list) and len(hw) == 2 and all(isinstance(v, int) for v in hw)):
             raise ConfigError(f"{path}.image_hw", "expected [height, width]")
+        # every 5x5 conv and 2x2 pool block needs at least 6 rows and columns
+        side = 1
+        for _ in conv_maps:
+            side = 2 * side + 4
+        if min(hw) < side:
+            raise ConfigError(f"{path}.image_hw",
+                              f"{hw} is too small for {len(conv_maps)} conv blocks, "
+                              f"which need at least [{side}, {side}]")
         return {"kind": "cnn",
                 "in_maps": _as_int(spec, path, "in_maps", minimum=1),
                 "conv_maps": conv_maps,

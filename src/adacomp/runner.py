@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import Dataset, load_idx, synth_digits, synth_gaussians
 from .metrics import MetricsWriter, fmt, write_histogram_csv
 from .nn import build_cnn, build_mlp
@@ -50,6 +51,29 @@ def model_builder(cfg: ExperimentConfig):
     raise ValueError(f"unknown model kind {spec['kind']!r}")
 
 
+def check_model_fits(model: dict, data: Dataset) -> None:
+    """Raise ConfigError naming the model field that does not fit the data's
+    feature shape or class count."""
+    shape = list(data.features.shape[1:])
+    if model["kind"] == "mlp":
+        # the first layer flattens each sample
+        if math.prod(shape) != model["input_dim"]:
+            raise ConfigError("model.input_dim",
+                              f"{model['input_dim']} does not fit features of shape {shape}")
+    elif len(shape) != 3:
+        raise ConfigError("model.kind", f"a cnn needs [maps, height, width] images, "
+                                        f"the dataset has features of shape {shape}")
+    elif shape[0] != model["in_maps"]:
+        raise ConfigError("model.in_maps", f"{model['in_maps']} does not fit images with "
+                                           f"{shape[0]} maps")
+    elif shape[1:] != model["image_hw"]:
+        raise ConfigError("model.image_hw", f"{model['image_hw']} does not fit images of "
+                                            f"{shape[1]}x{shape[2]}")
+    if model["classes"] < data.num_classes:
+        raise ConfigError("model.classes", f"{model['classes']} is fewer than the dataset's "
+                                           f"{data.num_classes} classes")
+
+
 def build_cluster(cfg: ExperimentConfig, train: Dataset, threads: int = 1) -> Cluster:
     codec_by_kind = {kind: make_codec(**entry) for kind, entry in cfg.codec.items()}
     opt = cfg.optimizer
@@ -62,10 +86,12 @@ def build_cluster(cfg: ExperimentConfig, train: Dataset, threads: int = 1) -> Cl
 def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Execute one experiment; returns the summary dict, which is also
     written to summary.json. A divergence abort flushes partial metrics and
-    is reported in the summary rather than raised."""
+    is reported in the summary rather than raised. A model that does not fit
+    the loaded data raises ConfigError before anything is built."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train, test = build_datasets(cfg)
+    check_model_fits(cfg.model, train)
     cluster = build_cluster(cfg, train, threads)
     if cluster.steps_per_epoch < 1:
         raise ValueError("dataset too small for one global minibatch per epoch")

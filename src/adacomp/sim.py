@@ -229,13 +229,11 @@ class Cluster:
             layer_bits = sum(payload_bits(p) for p in packs)
             bits.append(layer_bits)
             rates.append(32.0 * size * self.num_learners / layer_bits)
-            counts = [len(b) for p in packs if isinstance(p, PackedLayer) for b in p.bins]
-            if counts:
-                sel_mean.append(float(np.mean(counts)))
-                sel_max.append(float(max(counts)))
-            else:
-                sel_mean.append(float("nan"))
-                sel_max.append(float("nan"))
+            # entries per bin over the packs that have bins; NaN without any
+            counts = [p.bin_counts() for p in packs if isinstance(p, PackedLayer)]
+            counts = np.concatenate(counts) if counts else np.array([np.nan])
+            sel_mean.append(float(np.mean(counts)))
+            sel_max.append(float(np.max(counts)))
             rg_p95.append(nearest_rank_percentile(self.pooled_abs_residue(li), 95.0))
         train_loss = sum(losses) / len(losses)
         return StepMetrics(self.global_step, self.epoch, float(train_loss),

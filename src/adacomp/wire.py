@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import DensePacked, OneBitPacked, TopKPacked
-from .codec import MAX_BIN_SIZE, PackedLayer
+from .codec import PackedLayer
 
 _HEADER = struct.Struct("<HIHf")
 
@@ -50,47 +50,30 @@ def entry_width_bytes(bin_size: int) -> int:
 
 
 def encode(p: PackedLayer) -> EncodedLayer:
-    """Serialize a packed layer; raises if the pack violates its invariants."""
+    """Serialize a packed layer; raises ValueError for an invalid pack or a
+    header field the layout cannot hold."""
+    p.validate()
     if not 0 <= p.layer_id <= 0xFFFF:
         raise ValueError(f"invalid pack: layer_id {p.layer_id} does not fit in u16")
     if p.element_count > 0xFFFFFFFF:
         raise ValueError(f"invalid pack: element_count {p.element_count} does not fit in u32")
-    if p.bin_size > MAX_BIN_SIZE:
-        raise ValueError("index width exceeded")
-    if p.bin_size < 1 or p.element_count < 1:
-        raise ValueError("invalid pack: bad bin_size or element_count")
-    if p.num_bins != -(-p.element_count // p.bin_size):
-        raise ValueError("invalid pack: bin count does not match element count")
-    if not p.scale >= 0.0:
-        raise ValueError("invalid pack: negative scale")
     width = entry_width_bytes(p.bin_size)
-    out = bytearray(_HEADER.pack(p.layer_id, p.element_count, p.bin_size, p.scale))
-    for b, entries in enumerate(p.bins):
-        extent = min(p.bin_size, p.element_count - b * p.bin_size)
-        if len(entries) > extent:
-            raise ValueError("invalid pack: more entries than the bin holds")
-        if len(entries) < COUNT_ESCAPE:
-            out.append(len(entries))
-        else:
-            out.append(COUNT_ESCAPE)
-            out += len(entries).to_bytes(2, "little")
-        prev = -1
-        for idx, code in entries:
-            if not prev < idx < extent:
-                raise ValueError("invalid pack: entry indices must be strictly increasing within the bin")
-            prev = idx
-            if code == 1:
-                word = (idx << 2) | CODE_PLUS
-            elif code == -1:
-                word = (idx << 2) | CODE_MINUS
-            else:
-                raise ValueError(f"invalid pack: code must be +1 or -1, got {code}")
-            out += word.to_bytes(width, "little")
-    return EncodedLayer(bytes(out))
+    words = ((p.indices % p.bin_size) << 2) | np.where(p.signs > 0, CODE_PLUS, CODE_MINUS)
+    entries = words.astype("<u2").view(np.uint8) if width == 2 else words.astype(np.uint8)
+    # each bin's count goes before its first entry: one byte, or the escape
+    # byte and the count as u16
+    counts = p.bin_counts()
+    escaped = counts >= COUNT_ESCAPE
+    fields = np.stack([np.minimum(counts, COUNT_ESCAPE), counts & 0xFF, counts >> 8], axis=1)
+    used = np.stack([np.ones_like(escaped), escaped, escaped], axis=1)
+    at = np.repeat(width * (np.cumsum(counts) - counts), np.where(escaped, 3, 1))
+    body = np.insert(entries, at, fields[used])
+    return EncodedLayer(_HEADER.pack(p.layer_id, p.element_count, p.bin_size, p.scale) + body.tobytes())
 
 
 def decode(e: EncodedLayer) -> PackedLayer:
-    """Exact inverse of encode()."""
+    """Exact inverse of encode(); raises ValueError for a stream that encode
+    does not write."""
     data = e.data
     if len(data) < _HEADER.size:
         raise ValueError("unexpected end of stream")
@@ -99,38 +82,43 @@ def decode(e: EncodedLayer) -> PackedLayer:
         raise ValueError("corrupt entry: bad header")
     width = entry_width_bytes(bin_size)
     num_bins = -(-element_count // bin_size)
+    if len(data) - _HEADER.size < num_bins:
+        raise ValueError("unexpected end of stream")  # every bin has a count byte
+    # mark the count bytes; each count's offset depends on the counts before it
+    is_count = np.zeros(len(data), dtype=bool)
+    counts = np.empty(num_bins, dtype=np.int64)
     pos = _HEADER.size
-    bins: list[list[tuple[int, int]]] = []
-    for _ in range(num_bins):
-        if pos + 1 > len(data):
-            raise ValueError("unexpected end of stream")
-        count = data[pos]
-        pos += 1
-        if count == COUNT_ESCAPE:
-            if pos + 2 > len(data):
-                raise ValueError("unexpected end of stream")
-            count = int.from_bytes(data[pos:pos + 2], "little")
-            pos += 2
-            if count < COUNT_ESCAPE:
-                raise ValueError("corrupt entry: escaped count below 255")
-        if pos + count * width > len(data):
-            raise ValueError("unexpected end of stream")
-        entries: list[tuple[int, int]] = []
-        for _ in range(count):
-            word = int.from_bytes(data[pos:pos + width], "little")
-            pos += width
-            code_bits = word & 0b11
-            if code_bits == CODE_PLUS:
-                code = 1
-            elif code_bits == CODE_MINUS:
-                code = -1
-            else:
-                raise ValueError("corrupt entry: invalid code bits")
-            entries.append((word >> 2, code))
-        bins.append(entries)
+    try:
+        for b in range(num_bins):
+            is_count[pos] = True
+            count = data[pos]
+            pos += 1
+            if count == COUNT_ESCAPE:
+                count = data[pos] | data[pos + 1] << 8
+                is_count[pos:pos + 2] = True
+                pos += 2
+                if count < COUNT_ESCAPE:
+                    raise ValueError("corrupt entry: escaped count below 255")
+            counts[b] = count
+            pos += width * count
+    except IndexError:
+        raise ValueError("unexpected end of stream") from None
     if pos != len(data):
-        raise ValueError("corrupt entry: trailing bytes")
-    return PackedLayer(layer_id, element_count, bin_size, scale, bins)
+        raise ValueError("unexpected end of stream" if pos > len(data) else "corrupt entry: trailing bytes")
+    is_count[:_HEADER.size] = True
+    entries = np.frombuffer(data, dtype=np.uint8)[~is_count]
+    words = (entries.view("<u2") if width == 2 else entries).astype(np.int64)
+    code = words & 0b11
+    if ((code != CODE_PLUS) & (code != CODE_MINUS)).any():
+        raise ValueError("corrupt entry: invalid code bits")
+    local = words >> 2
+    if (local >= bin_size).any():
+        raise ValueError("corrupt entry: index outside its bin")
+    indices = np.repeat(np.arange(num_bins, dtype=np.int64) * bin_size, counts) + local
+    signs = np.where(code == CODE_PLUS, 1, -1).astype(np.int8)
+    p = PackedLayer(layer_id, element_count, bin_size, scale, indices, signs)
+    p.validate()
+    return p
 
 
 def effective_compression_rate(element_count: int, payload_bits: int) -> float:
@@ -140,22 +128,19 @@ def effective_compression_rate(element_count: int, payload_bits: int) -> float:
     return 32.0 * element_count / payload_bits
 
 
-def entry_bits(p: PackedLayer) -> int:
-    """Bits spent on entries alone, excluding header and per-bin counts;
-    this is the quantity behind the 40x / 200x arithmetic."""
-    return 8 * entry_width_bytes(p.bin_size) * p.entry_count()
-
-
 def payload_bits(p: PackedLayer | TopKPacked | OneBitPacked | DensePacked) -> int:
     """Transmitted size in bits for any codec's pack.
 
-    PackedLayer is measured from its actual encoding. The other codecs have
+    PackedLayer is the size of its encoding, computed from its bin counts
+    without encoding it (docs/wire-format.md). The other codecs have
     no bin structure on the wire: top-k entries carry a flat layer index plus
     a sign bit and two 32-bit means; the 1-bit plane is one bit per element
     plus two 32-bit means; dense is 32 bits per element.
     """
     if isinstance(p, PackedLayer):
-        return encode(p).declared_bits
+        counts = p.bin_counts()
+        return (HEADER_BITS + 8 * counts.size + 16 * int(np.count_nonzero(counts >= COUNT_ESCAPE))
+                + 8 * entry_width_bytes(p.bin_size) * p.entry_count())
     if isinstance(p, TopKPacked):
         index_bits = max(1, math.ceil(math.log2(p.element_count)))
         return p.entry_count() * (index_bits + 1) + 64

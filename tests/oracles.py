@@ -10,10 +10,11 @@ exception: it is the N-replica simulation that the single-replica
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
-from adacomp.codec import CodecState
+from adacomp.codec import CodecState, PackedLayer
 from adacomp.nn import serialize_grad
 from adacomp.sim import make_codec, shard, to_dense
 
@@ -133,6 +134,55 @@ def onebit_pack_reference(residue, dw):
     new_res = [g[i] - (pos_scale if bits[i] else neg_scale) for i in range(n)]
     return (np.array(bits, dtype=bool), float(np.float32(pos_scale)),
             float(np.float32(neg_scale)), np.array(new_res, dtype=np.float64))
+
+
+def packed_from_bins(layer_id, element_count, bin_size, scale, bins):
+    """A PackedLayer from per-bin lists of (index within bin, sign) entries,
+    the form the reference coders below read and write."""
+    flat = [(b * bin_size + i, sign) for b, entries in enumerate(bins) for i, sign in entries]
+    return PackedLayer(layer_id, element_count, bin_size, scale,
+                       np.array([i for i, _ in flat], dtype=np.int64),
+                       np.array([sign for _, sign in flat], dtype=np.int8))
+
+
+def encode_reference(layer_id, element_count, bin_size, scale, bins):
+    """The wire bytes of a pack given as per-bin entry lists, written entry
+    by entry (docs/wire-format.md)."""
+    width = 1 if bin_size <= 64 else 2
+    out = bytearray(struct.pack("<HIHf", layer_id, element_count, bin_size, scale))
+    for entries in bins:
+        if len(entries) < 255:
+            out.append(len(entries))
+        else:
+            out.append(255)
+            out += len(entries).to_bytes(2, "little")
+        for idx, sign in entries:
+            word = (idx << 2) | (0b01 if sign == 1 else 0b10)
+            out += word.to_bytes(width, "little")
+    return bytes(out)
+
+
+def decode_reference(data):
+    """Inverse of ``encode_reference`` for a well-formed stream: returns
+    (layer_id, element_count, bin_size, scale, bins)."""
+    layer_id, element_count, bin_size, scale = struct.unpack_from("<HIHf", data, 0)
+    width = 1 if bin_size <= 64 else 2
+    pos = struct.calcsize("<HIHf")
+    bins = []
+    for _ in range(math.ceil(element_count / bin_size)):
+        count = data[pos]
+        pos += 1
+        if count == 255:
+            count = int.from_bytes(data[pos:pos + 2], "little")
+            pos += 2
+        entries = []
+        for _ in range(count):
+            word = int.from_bytes(data[pos:pos + width], "little")
+            pos += width
+            entries.append((word >> 2, 1 if word & 0b11 == 0b01 else -1))
+        bins.append(entries)
+    assert pos == len(data)
+    return layer_id, element_count, bin_size, scale, bins
 
 
 class ReplicaReference:

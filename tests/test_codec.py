@@ -14,7 +14,7 @@ from adacomp.codec import (
     unpack,
 )
 
-from oracles import adacomp_pack_reference
+from oracles import adacomp_pack_reference, packed_from_bins
 
 # Float32-lattice values with magnitude in {0} or [0.01, 50]. Inside this
 # envelope every quantity the codec touches lives on a 2^-36 grid below 2^10,
@@ -147,7 +147,7 @@ def test_bin_config_bounds():
 # -------------------------------------------------------------------- unpack
 
 def test_unpack_empty():
-    p = PackedLayer(0, 4, 2, 0.0, [[], []])
+    p = packed_from_bins(0, 4, 2, 0.0, [[], []])
     np.testing.assert_array_equal(unpack(p).values, np.zeros(4, np.float32))
 
 
@@ -161,7 +161,7 @@ def test_unpack_worked_example():
 
 
 def test_unpack_positions_across_bins():
-    p = PackedLayer(0, 8, 4, 0.25, [[], [(2, -1)]])
+    p = packed_from_bins(0, 8, 4, 0.25, [[], [(2, -1)]])
     dense = unpack(p).values
     expect = np.zeros(8, np.float32)
     expect[6] = np.float32(-0.25)
@@ -170,15 +170,32 @@ def test_unpack_positions_across_bins():
 
 def test_unpack_rejects_index_outside_partial_bin():
     # element_count 6 with bin_size 4 leaves the last bin extent 2
-    p = PackedLayer(0, 6, 4, 0.5, [[], [(3, 1)]])
-    with pytest.raises(ValueError, match="corrupt pack"):
+    p = packed_from_bins(0, 6, 4, 0.5, [[], [(3, 1)]])
+    with pytest.raises(ValueError, match="invalid pack: indices"):
+        unpack(p)
+    # in range at both ends, and every int64 step positive once it wraps
+    wrapped = np.array([0, 2**63 - 1, -2**63, -1, 5], dtype=np.int64)
+    p = PackedLayer(0, 6, 4, 0.5, wrapped, np.ones(5, np.int8))
+    with pytest.raises(ValueError, match="invalid pack: indices"):
         unpack(p)
 
 
-def test_unpack_rejects_bin_count_mismatch():
-    p = PackedLayer(0, 6, 4, 0.5, [[]])
-    with pytest.raises(ValueError, match="corrupt pack"):
-        unpack(p)
+def test_bins_view_and_equality():
+    p = packed_from_bins(2, 10, 4, 0.5, [[(1, 1), (3, -1)], [], [(0, -1)]])
+    assert p.indices.tolist() == [1, 3, 8]
+    assert p.signs.tolist() == [1, -1, -1]
+    assert p.num_bins == 3 and p.entry_count() == 3
+    assert p.bin_counts().tolist() == [2, 0, 1]
+    assert p.bins == [[(1, 1), (3, -1)], [], [(0, -1)]]
+    assert p == packed_from_bins(2, 10, 4, 0.5, p.bins)
+    for changed in (packed_from_bins(2, 10, 4, 0.5, [[(1, 1), (2, -1)], [], [(0, -1)]]),
+                    packed_from_bins(2, 10, 4, 0.5, [[(1, 1), (3, 1)], [], [(0, -1)]]),
+                    packed_from_bins(2, 10, 4, 0.25, p.bins),
+                    packed_from_bins(3, 10, 4, 0.5, p.bins),
+                    packed_from_bins(2, 11, 4, 0.5, p.bins),
+                    packed_from_bins(2, 10, 5, 0.5, p.bins)):
+        assert p != changed
+    assert p != p.bins
 
 
 # ---------------------------------------------------------------- properties

@@ -122,6 +122,34 @@ def test_cli_rejects_invalid_config_with_field_name(tmp_path, capsys):
     assert "codec.fc.bin_size" in err
 
 
+def cnn_config(dataset=None, **model):
+    spec = {"kind": "cnn", "in_maps": 1, "conv_maps": [4], "fc_hidden": 8, "classes": 10}
+    return base_config(model={**spec, **model},
+                       dataset=dataset or {"kind": "digits", "train": 64, "test": 32},
+                       codec={"conv": {"kind": "identity"}, "fc": {"kind": "identity"}})
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (base_config(model={"kind": "mlp", "input_dim": 32, "hidden": [8], "classes": 4},
+                 dataset={"kind": "gaussians", "classes": 4, "dim": 64, "train": 128, "test": 64}),
+     "model.input_dim"),
+    (base_config(model={"kind": "mlp", "input_dim": 16, "hidden": [8], "classes": 2}),
+     "model.classes"),
+    (cnn_config(image_hw=[8, 8]), "model.image_hw"),
+    (cnn_config(conv_maps=[4, 4], image_hw=[12, 12]), "model.image_hw"),
+    (cnn_config(dataset={"kind": "gaussians", "classes": 4, "dim": 64, "train": 128, "test": 64}),
+     "model.kind"),
+    (cnn_config(in_maps=3), "model.in_maps"),
+], ids=["mlp_input_dim", "too_few_classes", "cnn_image_hw", "cnn_image_too_small",
+        "cnn_on_vectors", "cnn_in_maps"])
+def test_cli_model_that_does_not_fit_the_data_exits_2(tmp_path, capsys, cfg, field):
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {field}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err

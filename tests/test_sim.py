@@ -175,6 +175,11 @@ def test_exchange_matches_per_learner_reference(codec_by_kind):
             assert got.train_loss == loss
             assert got.payload_bits == [sum(payload_bits(p[li]) for p in packs)
                                         for li in range(len(cluster.layer_sizes))]
+            for li in range(len(cluster.layer_sizes)):
+                # entries per bin, counted on each pack's per-bin lists
+                counts = [len(b) for p in packs if isinstance(p[li], PackedLayer) for b in p[li].bins]
+                expect = [sum(counts) / len(counts), max(counts)] if counts else [np.nan] * 2
+                np.testing.assert_equal([got.sel_mean[li], got.sel_max[li]], expect)
             assert_matches_replicas(cluster, ref)
 
 
