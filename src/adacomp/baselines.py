@@ -68,7 +68,7 @@ def ls_pack(state: CodecState, dw: GradientVector, bin_size: int) -> tuple[Packe
     # peak underflows float32
     bins, first = np.unique(peaks // bin_size, return_index=True)
     indices = peaks[first[(gmax[bins] > 0.0) & (scale != 0.0)]]
-    return _pack_selected(dw.layer_id, bin_size, g, indices, scale, state)
+    return _pack_selected(dw.layer_id, bin_size, g, indices, scale)
 
 
 def topk_pack(state: CodecState, dw: GradientVector, fraction: float) -> tuple[TopKPacked, CodecState]:
@@ -91,7 +91,7 @@ def topk_pack(state: CodecState, dw: GradientVector, fraction: float) -> tuple[T
     # g is this call's own array: it becomes the new residue once the
     # selected entries have their reconstruction taken off
     g[indices] = sent - np.where(positive, np.float64(pos_scale), np.float64(neg_scale))
-    return packed, CodecState(residue=g, step=state.step + 1)
+    return packed, CodecState(residue=g)
 
 
 # one |g| in TOPK_SAMPLE_STRIDE estimates the top-k threshold of a layer;
@@ -151,7 +151,7 @@ def onebit_pack(state: CodecState, dw: GradientVector) -> tuple[OneBitPacked, Co
     recon = np.where(bits, np.float64(pos_scale), np.float64(neg_scale))
     new_residue = g - recon
     packed = OneBitPacked(dw.layer_id, int(w.size), bits, float(pos_scale), float(neg_scale))
-    return packed, CodecState(residue=new_residue, step=state.step + 1)
+    return packed, CodecState(residue=new_residue)
 
 
 def identity_pack(state: CodecState, dw: GradientVector) -> tuple[DensePacked, CodecState]:
@@ -160,7 +160,7 @@ def identity_pack(state: CodecState, dw: GradientVector) -> tuple[DensePacked, C
     if state.residue.shape != dw.values.shape:
         raise ValueError("residue/gradient shape mismatch")
     packed = DensePacked(dw.layer_id, dw.values.copy())
-    return packed, CodecState(residue=state.residue.copy(), step=state.step + 1)
+    return packed, CodecState(residue=state.residue.copy())
 
 
 def unpack_topk(p: TopKPacked) -> GradientVector:

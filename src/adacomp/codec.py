@@ -79,7 +79,7 @@ class PackedLayer:
     layer_id: int
     element_count: int
     bin_size: int
-    scale: float  # float32-representable, >= 0
+    scale: float  # float32-representable, finite, >= 0
     indices: np.ndarray
     signs: np.ndarray
 
@@ -114,8 +114,8 @@ class PackedLayer:
             raise ValueError(f"invalid pack: bin_size {self.bin_size} outside 1..{MAX_BIN_SIZE}")
         if self.element_count < 1:
             raise ValueError(f"invalid pack: element_count {self.element_count} below 1")
-        if not self.scale >= 0.0:
-            raise ValueError(f"invalid pack: scale {self.scale} is negative or NaN")
+        if not 0.0 <= self.scale < np.inf:
+            raise ValueError(f"invalid pack: scale {self.scale} is not a finite value >= 0")
         idx = self.indices
         if idx.ndim != 1 or idx.size and not (
                 idx.min() >= 0 and idx.max() < self.element_count and (np.diff(idx) > 0).all()):
@@ -135,11 +135,10 @@ class CodecState:
     """
 
     residue: np.ndarray
-    step: int = 0
 
     @classmethod
     def zeros(cls, length: int) -> "CodecState":
-        return cls(residue=np.zeros(int(length), dtype=np.float64), step=0)
+        return cls(residue=np.zeros(int(length), dtype=np.float64))
 
 
 def bin_maxima(g: GradientVector | np.ndarray, bin_size: int) -> np.ndarray:
@@ -167,7 +166,7 @@ def layer_scale(g_max: np.ndarray) -> float:
 
 
 def _pack_selected(layer_id: int, bin_size: int, g: np.ndarray, indices: np.ndarray,
-                   scale: np.float32, state: CodecState) -> tuple[PackedLayer, CodecState]:
+                   scale: np.float32) -> tuple[PackedLayer, CodecState]:
     """The pack of g's elements at ``indices``, each sent as sign(g) * scale
     with sign(+-0) = +1, and the successor state: ``g`` is the caller's own
     array and becomes the new residue once the sent values are taken off."""
@@ -177,7 +176,7 @@ def _pack_selected(layer_id: int, bin_size: int, g: np.ndarray, indices: np.ndar
     g[indices] = sent - np.where(positive, s, -s)
     packed = PackedLayer(layer_id, int(g.size), int(bin_size), float(scale), indices,
                          np.where(positive, 1, -1).astype(np.int8))
-    return packed, CodecState(residue=g, step=state.step + 1)
+    return packed, CodecState(residue=g)
 
 
 def pack(state: CodecState, dw: GradientVector, cfg: BinConfig) -> tuple[PackedLayer, CodecState]:
@@ -200,7 +199,7 @@ def pack(state: CodecState, dw: GradientVector, cfg: BinConfig) -> tuple[PackedL
     # underflows float32: no finite |h| reaches an infinite threshold
     threshold = np.where((gmax > 0.0) & (scale != 0.0), gmax, np.inf)
     selected = np.abs(h, out=h) >= np.repeat(threshold, cfg.bin_size)[:w.size]
-    return _pack_selected(dw.layer_id, cfg.bin_size, g, np.flatnonzero(selected), scale, state)
+    return _pack_selected(dw.layer_id, cfg.bin_size, g, np.flatnonzero(selected), scale)
 
 
 def unpack(p: PackedLayer) -> GradientVector:

@@ -196,6 +196,10 @@ class ExperimentConfig:
                          "beta1": _as_number(opt, "optimizer", "beta1", default=0.9, minimum=0.0, maximum=1.0),
                          "beta2": _as_number(opt, "optimizer", "beta2", default=0.999, minimum=0.0, maximum=1.0),
                          "eps": _as_number(opt, "optimizer", "eps", default=1e-8, minimum=0.0)}
+            for beta in ("beta1", "beta2"):
+                # the bias correction 1 - beta**t would be 0 at every step
+                if optimizer[beta] == 1.0:
+                    raise ConfigError(f"optimizer.{beta}", "must be below 1, got 1.0")
         else:
             raise ConfigError("optimizer.kind", f"unknown optimizer kind {opt['kind']!r}")
 

@@ -5,11 +5,13 @@ convolution, ReLU, 2x2 max-pool and a softmax cross-entropy head. Each
 parameterized layer serializes its gradient as kernel values in row-major
 (out-map, in-map, row, col) order with the bias appended last; weight
 updates consume the same layout. Layers hold only their parameters:
-``forward`` returns its output with a cache, ``backward(dy, cache)``
-returns the input gradient with that layer's parameter gradients, and
-nothing of a batch is stored on the layer. Any number of threads may run
-forward and backward on one model at once, as long as none of them updates
-its parameters meanwhile.
+``forward`` returns its output with a cache, ``backward(dy, cache,
+need_dx)`` returns the input gradient, or None if not ``need_dx``, with
+that layer's parameter gradients; nothing of a batch is stored on the
+layer. Nothing reads the model's input gradient, so ``Model.backward``
+runs no layer below the lowest parameterized one and asks that one for no
+input gradient. Any number of threads may run forward and backward on one
+model at once, as long as none of them updates its parameters meanwhile.
 """
 
 from __future__ import annotations
@@ -44,19 +46,19 @@ class FullyConnected:
         flat = x.reshape(x.shape[0], -1)
         return flat @ self.weight.T + self.bias, (flat, x.shape)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
         flat, x_shape = cache
-        return (dy @ self.weight).reshape(x_shape), [dy.T @ flat, dy.sum(axis=0)]
+        dx = (dy @ self.weight).reshape(x_shape) if need_dx else None
+        return dx, [dy.T @ flat, dy.sum(axis=0)]
 
 
 class Conv5x5:
     kind = "conv"
     K = 5
 
-    def __init__(self, in_maps: int, out_maps: int, rng: np.random.Generator, stride: int = 1):
+    def __init__(self, in_maps: int, out_maps: int, rng: np.random.Generator):
         self.in_maps = in_maps
         self.out_maps = out_maps
-        self.stride = stride
         fan_in = in_maps * self.K * self.K
         limit = np.sqrt(6.0 / fan_in)
         self.weight = rng.uniform(-limit, limit, size=(out_maps, in_maps, self.K, self.K)).astype(np.float32)
@@ -69,33 +71,30 @@ class Conv5x5:
         b, c, h, w = x.shape
         if c != self.in_maps:
             raise ValueError(f"expected {self.in_maps} input maps, got {c}")
-        k, s = self.K, self.stride
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
+        k = self.K
+        oh, ow = h - k + 1, w - k + 1
         if oh < 1 or ow < 1:
             raise ValueError("input smaller than kernel")
-        cols = np.empty((b, c, k, k, oh, ow), dtype=np.float32)
-        for r in range(k):
-            for q in range(k):
-                cols[:, :, r, q, :, :] = x[:, :, r:r + s * oh:s, q:q + s * ow:s]
-        cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * k * k)
-        wmat = self.weight.reshape(self.out_maps, -1)
-        out = cols @ wmat.T + self.bias
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * k * k)
+        out = cols @ self.weight.reshape(self.out_maps, -1).T + self.bias
         return out.reshape(b, oh, ow, self.out_maps).transpose(0, 3, 1, 2), (cols, x.shape)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
         cols, x_shape = cache
         b, c = x_shape[:2]
         oh, ow = dy.shape[2:]
-        k, s = self.K, self.stride
+        k = self.K
         dmat = dy.transpose(0, 2, 3, 1).reshape(b * oh * ow, self.out_maps)
         grads = [(dmat.T @ cols).reshape(self.weight.shape), dmat.sum(axis=0)]
-        dcols = (dmat @ self.weight.reshape(self.out_maps, -1))
-        dcols = dcols.reshape(b, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+        if not need_dx:
+            return None, grads
+        dcols = (dmat @ self.weight.reshape(self.out_maps, -1)).reshape(b, oh, ow, c, k, k)
+        dcols = np.ascontiguousarray(dcols.transpose(0, 3, 4, 5, 1, 2))
         dx = np.zeros(x_shape, dtype=np.float32)
         for r in range(k):
             for q in range(k):
-                dx[:, :, r:r + s * oh:s, q:q + s * ow:s] += dcols[:, :, r, q]
+                dx[:, :, r:r + oh, q:q + ow] += dcols[:, :, r, q]
         return dx, grads
 
 
@@ -109,8 +108,8 @@ class ReLU:
         mask = x > 0
         return np.where(mask, x, np.float32(0.0)), mask
 
-    def backward(self, dy: np.ndarray, mask):
-        return np.where(mask, dy, np.float32(0.0)), []
+    def backward(self, dy: np.ndarray, mask, need_dx: bool = True):
+        return (np.where(mask, dy, np.float32(0.0)) if need_dx else None), []
 
 
 class MaxPool2x2:
@@ -122,18 +121,17 @@ class MaxPool2x2:
     def params(self):
         return []
 
-    def _windows(self, x):
+    def forward(self, x: np.ndarray):
         b, c, h, w = x.shape
         oh, ow = h // 2, w // 2
         v = x[:, :, :2 * oh, :2 * ow].reshape(b, c, oh, 2, ow, 2)
-        return v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4), oh, ow
-
-    def forward(self, x: np.ndarray):
-        v, oh, ow = self._windows(x)
+        v = v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
         idx = v.argmax(axis=-1)
         return np.take_along_axis(v, idx[..., None], axis=-1)[..., 0], (idx, x.shape)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
+        if not need_dx:
+            return None, []
         idx, x_shape = cache
         b, c, h, w = x_shape
         oh, ow = h // 2, w // 2
@@ -206,12 +204,13 @@ class Model:
 
     def backward(self, cache: ForwardCache) -> ModelGradients:
         """Gradients of the mean batch loss for every parameterized layer,
-        from the cache of that batch's forward()."""
+        from the cache of that batch's forward(); no input gradient."""
         caches, probs, labels = cache
         dy = self.head.backward(probs, labels)
+        lowest = min((i for i, l in enumerate(self.layers) if l.params()), default=len(self.layers))
         grads = []
-        for l, c in zip(reversed(self.layers), reversed(caches)):
-            dy, g = l.backward(dy, c)
+        for i in range(len(self.layers) - 1, lowest - 1, -1):
+            dy, g = self.layers[i].backward(dy, caches[i], need_dx=i > lowest)
             if g:
                 grads.append(g)
         return grads[::-1]

@@ -14,6 +14,7 @@ from .metrics import MetricsWriter, fmt, write_histogram_csv
 from .nn import build_cnn, build_mlp
 from .optim import make_optimizer
 from .sim import Cluster, DivergenceError, make_codec
+from .wire import effective_compression_rate
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -51,9 +52,11 @@ def model_builder(cfg: ExperimentConfig):
     raise ValueError(f"unknown model kind {spec['kind']!r}")
 
 
-def check_model_fits(model: dict, data: Dataset) -> None:
-    """Raise ConfigError naming the model field that does not fit the data's
-    feature shape or class count."""
+def check_model_fits(cfg: ExperimentConfig, data: Dataset) -> None:
+    """Raise ConfigError naming the config field that does not fit the
+    training data: a model field off its feature shape or class count, or a
+    global minibatch larger than the data."""
+    model = cfg.model
     shape = list(data.features.shape[1:])
     if model["kind"] == "mlp":
         # the first layer flattens each sample
@@ -72,6 +75,9 @@ def check_model_fits(model: dict, data: Dataset) -> None:
     if model["classes"] < data.num_classes:
         raise ConfigError("model.classes", f"{model['classes']} is fewer than the dataset's "
                                            f"{data.num_classes} classes")
+    if cfg.minibatch > len(data):
+        raise ConfigError("config.minibatch", f"{cfg.minibatch} is more than the {len(data)} "
+                                              f"training samples")
 
 
 def build_cluster(cfg: ExperimentConfig, train: Dataset, threads: int = 1) -> Cluster:
@@ -86,15 +92,14 @@ def build_cluster(cfg: ExperimentConfig, train: Dataset, threads: int = 1) -> Cl
 def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     """Execute one experiment; returns the summary dict, which is also
     written to summary.json. A divergence abort flushes partial metrics and
-    is reported in the summary rather than raised. A model that does not fit
-    the loaded data raises ConfigError before anything is built."""
+    is reported in the summary rather than raised. A model or minibatch that
+    does not fit the loaded data raises ConfigError before anything is
+    built."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     train, test = build_datasets(cfg)
-    check_model_fits(cfg.model, train)
+    check_model_fits(cfg, train)
     cluster = build_cluster(cfg, train, threads)
-    if cluster.steps_per_epoch < 1:
-        raise ValueError("dataset too small for one global minibatch per epoch")
 
     layer_names = cluster.layer_names
     n_layers = len(layer_names)
@@ -117,8 +122,8 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
                 for i in range(n_layers):
                     rate_sums[i] += m.rates[i]
                     bits_sums[i] += m.payload_bits[i]
-                overall_rate_sum += (32.0 * sum(cluster.layer_sizes) * cfg.learners
-                                     / sum(m.payload_bits))
+                overall_rate_sum += effective_compression_rate(
+                    sum(cluster.layer_sizes) * cfg.learners, sum(m.payload_bits))
                 steps_done += 1
             test_error = cluster.evaluate(test)
             rg_p95 = [m.rg_p95[i] for i in range(n_layers)]

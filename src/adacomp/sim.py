@@ -32,12 +32,13 @@ from .baselines import (
 from .codec import BinConfig, CodecState, PackedLayer, pack, unpack
 from .data import Dataset
 from .nn import serialize_grad, split_vector
-from .wire import payload_bits
+from .wire import effective_compression_rate, payload_bits
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a learner's loss or a fresh layer gradient stops being
-    finite; ``reason`` names the value and where it came from."""
+    """Raised when a learner's loss, a fresh layer gradient or a layer's
+    updated weights stop being finite; ``reason`` names the value and where
+    it came from."""
 
     def __init__(self, epoch: int, step: int, reason: str):
         super().__init__(f"{reason} at epoch {epoch}, step {step}")
@@ -218,6 +219,10 @@ class Cluster:
             acc /= np.float32(self.num_learners)
             grads.extend(split_vector(acc, self.param_shapes[li]))
         self.optimizer.update([p for l in self.model.param_layers for p in l.params()], grads)
+        for name, layer in zip(self.layer_names, self.model.param_layers):
+            if not all(np.isfinite(p).all() for p in layer.params()):
+                raise DivergenceError(self.epoch, self.global_step,
+                                      f"non-finite weights in layer {name} after the update")
 
         self.global_step += 1
         return self._metrics(losses, all_packs)
@@ -226,11 +231,12 @@ class Cluster:
         bits, rates, sel_mean, sel_max, rg_p95 = [], [], [], [], []
         for li, size in enumerate(self.layer_sizes):
             packs = [p[li] for p in all_packs]
-            layer_bits = sum(payload_bits(p) for p in packs)
+            counts = [p.bin_counts() if isinstance(p, PackedLayer) else None for p in packs]
+            layer_bits = sum(payload_bits(p, c) for p, c in zip(packs, counts))
             bits.append(layer_bits)
-            rates.append(32.0 * size * self.num_learners / layer_bits)
+            rates.append(effective_compression_rate(size * self.num_learners, layer_bits))
             # entries per bin over the packs that have bins; NaN without any
-            counts = [p.bin_counts() for p in packs if isinstance(p, PackedLayer)]
+            counts = [c for c in counts if c is not None]
             counts = np.concatenate(counts) if counts else np.array([np.nan])
             sel_mean.append(float(np.mean(counts)))
             sel_max.append(float(np.max(counts)))

@@ -272,3 +272,31 @@ def finite_difference_grads(loss_fn, params: list[np.ndarray], eps: float = 1e-3
             grad.reshape(-1)[i] = (hi - lo) / (2.0 * eps)
         out.append(grad)
     return out
+
+
+def im2col_reference(x: np.ndarray, k: int = 5) -> np.ndarray:
+    """Valid-convolution im2col by k*k slice copies into a
+    (sample, in-map, kernel row, kernel col, out row, out col) buffer and a
+    transpose copy: rows (sample, out row, out col), columns (in-map,
+    kernel row, kernel col)."""
+    b, c, h, w = x.shape
+    oh, ow = h - k + 1, w - k + 1
+    cols = np.empty((b, c, k, k, oh, ow), dtype=np.float32)
+    for r in range(k):
+        for q in range(k):
+            cols[:, :, r, q, :, :] = x[:, :, r:r + oh, q:q + ow]
+    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * k * k)
+
+
+def full_backward_reference(model, cache) -> tuple[np.ndarray, list]:
+    """Backward through every layer of ``model`` down to its input, asking
+    each for its input gradient; returns (input gradient, per-layer
+    parameter gradients)."""
+    caches, probs, labels = cache
+    dy = model.head.backward(probs, labels)
+    grads = []
+    for layer, c in zip(reversed(model.layers), reversed(caches)):
+        dy, g = layer.backward(dy, c, need_dx=True)
+        if g:
+            grads.append(g)
+    return dy, grads[::-1]

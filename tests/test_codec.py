@@ -104,7 +104,6 @@ def test_pack_worked_example():
     assert packed.scale == pytest.approx(0.6, abs=1e-6)
     assert entries_flat(packed) == [(0, 1), (1, -1), (2, 1)]
     np.testing.assert_allclose(new_state.residue, [0.0, 0.2, -0.1, 0.05], atol=1e-6)
-    assert new_state.step == 1
     # untouched input state
     np.testing.assert_array_equal(state.residue, np.float32([0.5, -0.1, 0.2, 0.0]).astype(np.float64))
 

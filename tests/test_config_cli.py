@@ -150,6 +150,18 @@ def test_cli_model_that_does_not_fit_the_data_exits_2(tmp_path, capsys, cfg, fie
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data", ["gaussians", "idx"])
+def test_cli_dataset_smaller_than_one_global_batch_exits_2(tmp_path, capsys, data):
+    cfg = (base_config(dataset={"kind": "gaussians", "classes": 4, "dim": 16,
+                                "train": 100, "test": 64}, minibatch=128)
+           if data == "gaussians" else {**idx_config(tmp_path), "minibatch": 32})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error at config.minibatch: ")
+    assert "Traceback" not in err
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err
@@ -214,6 +226,27 @@ def test_cli_divergence_exit_code(tmp_path, capsys):
     assert diverged["reason"].startswith("non-finite ")
     err = capsys.readouterr().err
     assert f"{diverged['reason']} at epoch {diverged['epoch']}, step {diverged['step']}" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_cli_poisoned_weights_after_the_last_update_exit_3(tmp_path, capsys):
+    # one step in one epoch: no later loss or gradient check sees the weights
+    cfg = base_config(optimizer={"kind": "sgd", "lr": 1e308}, minibatch=128)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    diverged = json.loads((out / "summary.json").read_text())["diverged"]
+    assert diverged == {"epoch": 1, "step": 0,
+                        "reason": "non-finite weights in layer fc0 after the update"}
+    assert "non-finite weights in layer fc0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["beta1", "beta2"])
+def test_cli_adam_beta_of_one_exits_2(tmp_path, capsys, beta):
+    cfg = base_config(optimizer={"kind": "adam", "lr": 0.01, beta: 1.0})
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config error at optimizer.{beta}: ")
 
 
 def test_cli_sweep(tmp_path):

@@ -7,12 +7,13 @@ from adacomp.nn import (
     MaxPool2x2,
     Model,
     ReLU,
+    build_cnn,
     build_mlp,
     serialize_grad,
     split_vector,
 )
 
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, full_backward_reference, im2col_reference
 
 
 def rel_err(a, b):
@@ -140,6 +141,17 @@ def test_pool_path_matches_finite_differences():
     check_against_fd(model, x, y)
 
 
+def test_stacked_convs_match_finite_differences():
+    # the lowest conv's gradients take the upper conv's input gradient
+    rng = np.random.default_rng(19)
+    model = Model([Conv5x5(1, 2, rng), Conv5x5(2, 2, rng), FullyConnected(2, 2, rng)], classes=2)
+    x = rng.uniform(0.5, 1.5, (3, 1, 9, 9)).astype(np.float32)
+    y = np.array([0, 1, 1])
+    # a larger step: every parameter here moves the loss linearly through
+    # the convs, and float32 rounding dominates at eps = 1e-3
+    check_against_fd(model, x, y, eps=1e-2)
+
+
 def test_softmax_head_matches_finite_differences():
     rng = np.random.default_rng(23)
     fc = FullyConnected(4, 4, rng)
@@ -181,6 +193,74 @@ def test_interleaved_batches_keep_their_own_caches():
     for got, want in zip(model.backward(cache_a), alone, strict=True):
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
+
+
+# -------------------------------------------------------- conv engine shortcuts
+
+@pytest.mark.parametrize("b, c, h, w", [(1, 1, 5, 5), (3, 3, 13, 9), (1, 3, 9, 13), (3, 1, 6, 11)])
+def test_conv_im2col_matches_slice_loop_reference(b, c, h, w):
+    rng = np.random.default_rng([b, c, h, w])
+    conv = Conv5x5(c, 4, rng)
+    conv.bias[:] = rng.uniform(-1, 1, 4)
+    x = rng.standard_normal((b, c, h, w)).astype(np.float32)
+    out, (cols, _) = conv.forward(x)
+    ref = im2col_reference(x)
+    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+    assert cols.flags.c_contiguous
+    # at batch 1 the reference's reshape is a column-major view, and a
+    # product with it rounds differently: the output is checked against
+    # the same values in the row-major layout that every batch size gets
+    ref = np.ascontiguousarray(ref)
+    want = (ref @ conv.weight.reshape(4, -1).T + conv.bias).reshape(b, h - 4, w - 4, 4)
+    want = want.transpose(0, 3, 1, 2)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
+def _models():
+    rng = np.random.default_rng(31)
+    cnn = build_cnn(1, [2, 3], 8, 4, seed=5, image_hw=(16, 16))
+    # a layer without parameters below the lowest parameterized one
+    relu_first = Model([ReLU(), Conv5x5(2, 2, rng), ReLU(), MaxPool2x2(),
+                        FullyConnected(8, 3, rng)], classes=3)
+    return [(cnn, rng.standard_normal((3, 1, 16, 16)).astype(np.float32), 4),
+            (build_mlp(6, [5, 4], 3, seed=5), rng.standard_normal((4, 6)).astype(np.float32), 3),
+            (relu_first, rng.standard_normal((2, 2, 9, 9)).astype(np.float32), 3)]
+
+
+@pytest.mark.parametrize("model, x, classes", _models(), ids=["cnn", "mlp", "relu_first"])
+def test_backward_stops_at_the_lowest_parameterized_layer(model, x, classes):
+    labels = np.arange(len(x)) % classes
+    _, cache = model.forward(x, labels)
+    calls = []
+    for i, layer in enumerate(model.layers):
+        def spy(dy, c, need_dx=True, i=i, original=layer.backward):
+            calls.append((i, need_dx))
+            return original(dy, c, need_dx=need_dx)
+        layer.backward = spy
+    grads = model.backward(cache)
+    lowest = next(i for i, l in enumerate(model.layers) if l.params())
+    top = len(model.layers) - 1
+    assert calls == [(i, i > lowest) for i in range(top, lowest - 1, -1)]
+
+    dx, full = full_backward_reference(model, cache)
+    assert dx.shape == x.shape
+    assert len(grads) == len(full)
+    for got, want in zip(grads, full):
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_every_layer_skips_its_input_gradient_on_request():
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((2, 2, 9, 9)).astype(np.float32)
+    for layer in (Conv5x5(2, 3, rng), ReLU(), MaxPool2x2(), FullyConnected(162, 3, rng)):
+        y, cache = layer.forward(x)
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        dx, grads = layer.backward(dy, cache, need_dx=True)
+        assert dx.shape == x.shape
+        skipped, same = layer.backward(dy, cache, need_dx=False)
+        assert skipped is None
+        assert [g.tobytes() for g in same] == [g.tobytes() for g in grads]
 
 
 # ------------------------------------------------------------- serialization

@@ -10,7 +10,7 @@ from adacomp.baselines import DensePacked, OneBitPacked, TopKPacked
 from adacomp.codec import CodecState, GradientVector, PackedLayer
 from adacomp.data import synth_digits, synth_gaussians
 from adacomp.nn import build_cnn, build_mlp, serialize_grad
-from adacomp.optim import SGDMomentum
+from adacomp.optim import Adam, SGDMomentum
 from adacomp.sim import Cluster, DivergenceError, make_codec, nearest_rank_percentile, shard
 from adacomp.wire import payload_bits
 
@@ -305,6 +305,23 @@ def test_rate_column_consistent_with_payload_bits():
     assert all(v >= 0.0 for v in m.rg_p95)
 
 
+def test_metrics_count_each_pack_on_its_own_bins():
+    # rank 0 fills one bin past the 255-entry escape, rank 1 does not: the
+    # payload of each pack depends on its own bin counts
+    cluster = make_cluster(2, 16, build=lambda seed: build_mlp(DIM, [32], CLASSES, seed))
+    sizes = cluster.layer_sizes
+
+    def packed(layer, entries):
+        idx = np.arange(entries, dtype=np.int64)
+        return PackedLayer(layer, sizes[layer], sizes[layer], 0.5, idx, np.ones(entries, np.int8))
+
+    all_packs = [[packed(0, 300), packed(1, 3)], [packed(0, 10), packed(1, 40)]]
+    m = cluster._metrics([0.0, 0.0], all_packs)
+    assert m.payload_bits == [payload_bits(all_packs[0][li]) + payload_bits(all_packs[1][li])
+                              for li in range(2)]
+    assert (m.sel_mean, m.sel_max) == ([155.0, 21.5], [300.0, 40.0])
+
+
 def test_evaluate_returns_error_rate():
     cluster = make_cluster(1, 16)
     err = cluster.evaluate(dataset(128, seed=9))
@@ -342,6 +359,18 @@ def test_non_finite_gradient_stops_the_step(bad, monkeypatch):
     assert all(np.isfinite(s.residue).all() for states in cluster.codec_states for s in states)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value", "ignore:divide by zero")
+def test_non_finite_weights_after_the_update_stop_the_step():
+    # beta2 = 1 zeroes Adam's bias correction 1 - beta2**t: every weight
+    # divides by zero in the first update
+    cluster = Cluster(builder, dataset(), {}, lambda: Adam(lr=0.01, beta2=1.0),
+                      num_learners=2, global_minibatch=16, seed=1)
+    cluster.start_epoch(1)
+    with pytest.raises(DivergenceError, match="non-finite weights in layer fc0 after the update") as e:
+        cluster.sync_step()
+    assert (e.value.epoch, e.value.step) == (1, 0)
+
+
 def test_cluster_validation():
     with pytest.raises(ValueError, match="divisible"):
         make_cluster(3, 16)
@@ -358,8 +387,8 @@ def test_make_codec_registry():
                                     ("topk", {"fraction": 0.2}, TopKPacked),
                                     ("onebit", {}, OneBitPacked),
                                     ("identity", {}, DensePacked)):
-        packed, state = make_codec(kind, **params)(CodecState.zeros(120), gv)
-        assert type(packed) is pack_type and state.step == 1
+        packed, _ = make_codec(kind, **params)(CodecState.zeros(120), gv)
+        assert type(packed) is pack_type
         assert sim.to_dense(packed).dtype == np.float32
     with pytest.raises(ValueError, match="unknown codec"):
         make_codec("zip")

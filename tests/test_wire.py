@@ -151,12 +151,14 @@ NaN = float("nan")
     (header_bytes(0, 8, 4, 1.0) + bytes([2, 0x09, 0x05, 0]), "strictly increasing"),
     # index 5 in a 4-wide bin would land in the next bin
     (header_bytes(0, 8, 4, 1.0) + bytes([1, 0x15, 0]), "index outside its bin"),
-    (header_bytes(0, 4, 4, -1.0) + bytes([0]), "scale -1.0 is negative or NaN"),
+    (header_bytes(0, 4, 4, -1.0) + bytes([0]), "scale -1.0 is not a finite value >= 0"),
     # a NaN scale unpacked to a NaN gradient
-    (header_bytes(0, 4, 4, NaN) + bytes([1, 0x05]), "scale nan is negative or NaN"),
+    (header_bytes(0, 4, 4, NaN) + bytes([1, 0x05]), "scale nan is not a finite value >= 0"),
+    # an infinite scale unpacked to an infinite gradient
+    (header_bytes(0, 4, 4, float("inf")) + bytes([1, 0x05]), "scale inf is not a finite value >= 0"),
     (header_bytes(0, 20000, 20000, 1.0) + bytes([0]), "bin_size 20000 outside 1..16384"),
 ], ids=["duplicate", "decreasing", "index_past_bin", "negative_scale", "nan_scale",
-        "bin_size_20000"])
+        "inf_scale", "bin_size_20000"])
 def test_decode_rejects_streams_encode_never_writes(data, message):
     with pytest.raises(ValueError, match=message):
         decode(EncodedLayer(data))
