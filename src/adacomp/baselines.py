@@ -27,6 +27,10 @@ class TopKPacked:
     def entry_count(self) -> int:
         return int(self.indices.size)
 
+    def entry_values(self) -> np.ndarray:
+        """The float32 value each entry reconstructs to: its sign's mean."""
+        return np.where(self.signs == 1, np.float32(self.pos_scale), np.float32(self.neg_scale))
+
 
 @dataclass
 class OneBitPacked:
@@ -165,7 +169,7 @@ def identity_pack(state: CodecState, dw: GradientVector) -> tuple[DensePacked, C
 
 def unpack_topk(p: TopKPacked) -> GradientVector:
     out = np.zeros(p.element_count, dtype=np.float32)
-    out[p.indices] = np.where(p.signs == 1, np.float32(p.pos_scale), np.float32(p.neg_scale))
+    out[p.indices] = p.entry_values()
     return GradientVector(p.layer_id, out)
 
 

@@ -3,8 +3,9 @@
   adacomp run   --config cfg.json --out outdir
   adacomp sweep --config cfg.json --axis {L_T,minibatch,learners} --values 50,200,800 [--out outdir]
 
-ADACOMP_THREADS (a positive integer, default 1) sets how many learner
-compute phases may run concurrently; it never changes results.
+ADACOMP_THREADS (a positive integer, default 1) is accepted and checked;
+every step is one stacked pass over all learners, so its value changes
+neither results nor speed.
 
 Exit codes: 0 on success; 2 for a bad config, ADACOMP_THREADS value,
 argument or data file, with an ``error: ...`` line on stderr; 3 when a run

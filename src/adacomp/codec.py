@@ -93,6 +93,11 @@ class PackedLayer:
     def bin_counts(self) -> np.ndarray:
         return np.bincount(self.indices // self.bin_size, minlength=self.num_bins)
 
+    def entry_values(self) -> np.ndarray:
+        """The float32 value each entry reconstructs to: +scale or -scale."""
+        scale = np.float32(self.scale)
+        return np.where(self.signs > 0, scale, -scale)
+
     @property
     def bins(self) -> list[list[tuple[int, int]]]:
         """Read-only view: per bin, its (index within bin, sign) entries."""
@@ -207,6 +212,5 @@ def unpack(p: PackedLayer) -> GradientVector:
     packed positions, exact zero everywhere else."""
     p.validate()
     out = np.zeros(p.element_count, dtype=np.float32)
-    scale = np.float32(p.scale)
-    out[p.indices] = np.where(p.signs > 0, scale, -scale)
+    out[p.indices] = p.entry_values()
     return GradientVector(p.layer_id, out)

@@ -10,8 +10,12 @@ need_dx)`` returns the input gradient, or None if not ``need_dx``, with
 that layer's parameter gradients; nothing of a batch is stored on the
 layer. Nothing reads the model's input gradient, so ``Model.backward``
 runs no layer below the lowest parameterized one and asks that one for no
-input gradient. Any number of threads may run forward and backward on one
-model at once, as long as none of them updates its parameters meanwhile.
+input gradient.
+
+One code path serves one rank, (b, ...) with 1-D labels, and N ranks
+stacked on a leading axis, (N, b, ...) with (N, b) labels. Products are
+stacked ``np.matmul`` calls, one 2-D product per rank, so each rank gets the
+bits its own batch gives; one product over all ranks would round otherwise.
 """
 
 from __future__ import annotations
@@ -42,14 +46,16 @@ class FullyConnected:
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray):
-        flat = x.reshape(x.shape[0], -1)
+    def forward(self, x: np.ndarray, lead: int = 1):
+        # the first ``lead`` axes are (b,) or (N, b); the rest are flattened
+        flat = x.reshape(*x.shape[:lead], -1)
         return flat @ self.weight.T + self.bias, (flat, x.shape)
 
-    def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
+    def backward(self, dy: np.ndarray, cache, need_dx: bool = True, out=None):
         flat, x_shape = cache
+        dw, db = out or (None, None)
         dx = (dy @ self.weight).reshape(x_shape) if need_dx else None
-        return dx, [dy.T @ flat, dy.sum(axis=0)]
+        return dx, [np.matmul(np.swapaxes(dy, -1, -2), flat, out=dw), dy.sum(axis=-2, out=db)]
 
 
 class Conv5x5:
@@ -68,33 +74,36 @@ class Conv5x5:
         return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray):
-        b, c, h, w = x.shape
+        *ranks, b, c, h, w = x.shape
         if c != self.in_maps:
             raise ValueError(f"expected {self.in_maps} input maps, got {c}")
         k = self.K
         oh, ow = h - k + 1, w - k + 1
         if oh < 1 or ow < 1:
             raise ValueError("input smaller than kernel")
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * k * k)
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-2, -1))
+        cols = np.moveaxis(windows, -5, -3).reshape(*ranks, b * oh * ow, c * k * k)
         out = cols @ self.weight.reshape(self.out_maps, -1).T + self.bias
-        return out.reshape(b, oh, ow, self.out_maps).transpose(0, 3, 1, 2), (cols, x.shape)
+        return np.moveaxis(out.reshape(*ranks, b, oh, ow, self.out_maps), -1, -3), (cols, x.shape)
 
-    def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
+    def backward(self, dy: np.ndarray, cache, need_dx: bool = True, out=None):
         cols, x_shape = cache
-        b, c = x_shape[:2]
-        oh, ow = dy.shape[2:]
+        *ranks, b, c = x_shape[:-2]
+        oh, ow = dy.shape[-2:]
         k = self.K
-        dmat = dy.transpose(0, 2, 3, 1).reshape(b * oh * ow, self.out_maps)
-        grads = [(dmat.T @ cols).reshape(self.weight.shape), dmat.sum(axis=0)]
+        dw, db = out or (None, None)
+        dmat = np.moveaxis(dy, -3, -1).reshape(*ranks, b * oh * ow, self.out_maps)
+        dw = np.matmul(np.swapaxes(dmat, -1, -2), cols,
+                       out=None if dw is None else dw.reshape(*ranks, self.out_maps, -1))
+        grads = [dw.reshape(*ranks, *self.weight.shape), dmat.sum(axis=-2, out=db)]
         if not need_dx:
             return None, grads
-        dcols = (dmat @ self.weight.reshape(self.out_maps, -1)).reshape(b, oh, ow, c, k, k)
-        dcols = np.ascontiguousarray(dcols.transpose(0, 3, 4, 5, 1, 2))
+        dcols = (dmat @ self.weight.reshape(self.out_maps, -1)).reshape(*ranks, b, oh, ow, c, k, k)
+        dcols = np.ascontiguousarray(np.moveaxis(dcols, (-5, -4), (-2, -1)))
         dx = np.zeros(x_shape, dtype=np.float32)
         for r in range(k):
             for q in range(k):
-                dx[:, :, r:r + oh, q:q + ow] += dcols[:, :, r, q]
+                dx[..., r:r + oh, q:q + ow] += dcols[..., r, q, :, :]
         return dx, grads
 
 
@@ -122,10 +131,10 @@ class MaxPool2x2:
         return []
 
     def forward(self, x: np.ndarray):
-        b, c, h, w = x.shape
+        *lead, h, w = x.shape
         oh, ow = h // 2, w // 2
-        v = x[:, :, :2 * oh, :2 * ow].reshape(b, c, oh, 2, ow, 2)
-        v = v.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
+        v = x[..., :2 * oh, :2 * ow].reshape(*lead, oh, 2, ow, 2)
+        v = v.swapaxes(-3, -2).reshape(*lead, oh, ow, 4)
         idx = v.argmax(axis=-1)
         return np.take_along_axis(v, idx[..., None], axis=-1)[..., 0], (idx, x.shape)
 
@@ -133,39 +142,40 @@ class MaxPool2x2:
         if not need_dx:
             return None, []
         idx, x_shape = cache
-        b, c, h, w = x_shape
+        *lead, h, w = x_shape
         oh, ow = h // 2, w // 2
-        scattered = np.zeros((b, c, oh, ow, 4), dtype=np.float32)
+        scattered = np.zeros((*lead, oh, ow, 4), dtype=np.float32)
         np.put_along_axis(scattered, idx[..., None], dy[..., None], axis=-1)
         dx = np.zeros(x_shape, dtype=np.float32)
-        dx[:, :, :2 * oh, :2 * ow] = (
-            scattered.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, 2 * oh, 2 * ow))
+        dx[..., :2 * oh, :2 * ow] = (
+            scattered.reshape(*lead, oh, ow, 2, 2).swapaxes(-3, -2).reshape(*lead, 2 * oh, 2 * ow))
         return dx, []
 
 
 class SoftmaxXent:
-    """Softmax + cross-entropy head; loss is the mean over the batch."""
+    """Softmax + cross-entropy head; the loss is the mean over each rank's batch."""
 
     kind = "loss"
 
     def __init__(self, classes: int):
         self.classes = classes
 
-    def loss(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        """(mean loss, softmax probabilities)"""
-        if logits.shape[1] != self.classes:
-            raise ValueError(f"expected {self.classes} logits, got {logits.shape[1]}")
-        z = logits - logits.max(axis=1, keepdims=True)
+    def loss(self, logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mean loss per rank, softmax probabilities)"""
+        if logits.shape[-1] != self.classes:
+            raise ValueError(f"expected {self.classes} logits, got {logits.shape[-1]}")
+        z = logits - logits.max(axis=-1, keepdims=True)
         ez = np.exp(z)
-        denom = ez.sum(axis=1, keepdims=True)
+        denom = ez.sum(axis=-1, keepdims=True)
         probs = ez / denom
         logp = z - np.log(denom)
-        return float(-np.mean(logp[np.arange(len(labels)), labels])), probs
+        return -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1), probs
 
     def backward(self, probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         grad = probs.copy()
-        grad[np.arange(len(labels)), labels] -= np.float32(1.0)
-        return grad / np.float32(len(labels))
+        at = labels[..., None]
+        np.put_along_axis(grad, at, np.take_along_axis(grad, at, axis=-1) - np.float32(1.0), axis=-1)
+        return grad / np.float32(labels.shape[-1])
 
 
 class Model:
@@ -188,57 +198,62 @@ class Model:
             names.append(f"{l.kind}{i}")
         return names
 
-    def _logits(self, x: np.ndarray) -> tuple[np.ndarray, list]:
+    def forward(self, x: np.ndarray, labels: np.ndarray) -> tuple[float | list[float], ForwardCache]:
+        """Run a batch through the stack; returns the loss and the cache that
+        backward() takes. The loss is the batch mean for 1-D ``labels``, and
+        a list of N means, one per rank's b samples, for (N, b) labels."""
+        lead = labels.ndim
         caches = []
         for l in self.layers:
-            x, cache = l.forward(x)
+            x, cache = l.forward(x, lead) if l.kind == "fc" else l.forward(x)
             caches.append(cache)
-        return x, caches
+        loss, probs = self.head.loss(x, labels)
+        return (loss.tolist() if lead == 2 else float(loss)), (caches, probs, labels)
 
-    def forward(self, x: np.ndarray, labels: np.ndarray) -> tuple[float, ForwardCache]:
-        """Run the batch through the stack; returns the mean loss and the
-        cache that backward() takes."""
-        logits, caches = self._logits(x)
-        loss, probs = self.head.loss(logits, labels)
-        return loss, (caches, probs, labels)
-
-    def backward(self, cache: ForwardCache) -> ModelGradients:
+    def backward(self, cache: ForwardCache) -> ModelGradients | list[np.ndarray]:
         """Gradients of the mean batch loss for every parameterized layer,
-        from the cache of that batch's forward(); no input gradient."""
+        from the cache of that batch's forward(); no input gradient. One rank
+        gets [weight, bias] per layer, N ranks one (N, size) float32 matrix
+        per layer that the layer writes into, row r in rank r's serialized layout."""
         caches, probs, labels = cache
         dy = self.head.backward(probs, labels)
         lowest = min((i for i, l in enumerate(self.layers) if l.params()), default=len(self.layers))
-        grads = []
+        grads, rows = [], []
         for i in range(len(self.layers) - 1, lowest - 1, -1):
-            dy, g = self.layers[i].backward(dy, caches[i], need_dx=i > lowest)
+            layer, into = self.layers[i], {}
+            if labels.ndim == 2 and layer.params():
+                shapes = [p.shape for p in layer.params()]
+                rows.append(np.empty((len(labels), sum(map(np.prod, shapes))), dtype=np.float32))
+                into["out"] = split_vector(rows[-1], shapes)
+            dy, g = layer.backward(dy, caches[i], need_dx=i > lowest, **into)
             if g:
                 grads.append(g)
-        return grads[::-1]
+        return (rows if labels.ndim == 2 else grads)[::-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._logits(x)[0].argmax(axis=1)
+        """Class of each sample of one batch; no layer's cache is kept."""
+        for l in self.layers:
+            x = l.forward(x)[0]
+        return x.argmax(axis=-1)
 
 
 def serialize_grad(grads: ModelGradients) -> list[GradientVector]:
     """Flatten each layer's gradients to one vector: parameters in row-major
     order, bias last."""
-    out = []
-    for layer_id, parts in enumerate(grads):
-        flat = np.concatenate([p.reshape(-1) for p in parts]).astype(np.float32)
-        out.append(GradientVector(layer_id, flat))
-    return out
+    return [GradientVector(layer_id, np.concatenate([p.reshape(-1) for p in parts]).astype(np.float32))
+            for layer_id, parts in enumerate(grads)]
 
 
 def split_vector(values: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
-    """Inverse of the per-layer flattening: cut a vector back into arrays of
-    the given shapes."""
+    """Inverse of the per-layer flattening: cut a vector, or each row of a
+    matrix, back into views of the given shapes."""
     sizes = [int(np.prod(s)) for s in shapes]
-    if sum(sizes) != values.size:
-        raise ValueError(f"vector of {values.size} values cannot fill shapes totalling {sum(sizes)}")
-    out = []
-    pos = 0
+    *lead, n = values.shape
+    if sum(sizes) != n:
+        raise ValueError(f"vector of {n} values cannot fill shapes totalling {sum(sizes)}")
+    out, pos = [], 0
     for shape, size in zip(shapes, sizes):
-        out.append(values[pos:pos + size].reshape(shape))
+        out.append(values[..., pos:pos + size].reshape(*lead, *shape))
         pos += size
     return out
 

@@ -6,13 +6,13 @@ mini-batch and compresses them layer by layer against its own residue. The
 simulated exchange is lossless, so every learner would decompress the same
 N packs, average them in the same rank order and apply the same update to
 the same weights. The cluster therefore holds one parameter set and one
-optimizer for all ranks, and N residues: it averages each layer once per
-step and updates once. The whole run is a pure function of (config, seed).
+optimizer for all ranks, and N residues: one forward and one backward run
+over all ranks' shards at once, and each layer is averaged and updated once
+per step. The whole run is a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +29,9 @@ from .baselines import (
     unpack_onebit,
     unpack_topk,
 )
-from .codec import BinConfig, CodecState, PackedLayer, pack, unpack
+from .codec import BinConfig, CodecState, GradientVector, PackedLayer, pack, unpack
 from .data import Dataset
-from .nn import serialize_grad, split_vector
+from .nn import split_vector
 from .wire import effective_compression_rate, payload_bits
 
 
@@ -92,6 +92,16 @@ def to_dense(p) -> np.ndarray:
     raise TypeError(f"unknown pack type: {type(p).__name__}")
 
 
+def add_pack(acc: np.ndarray, p) -> None:
+    """``acc += to_dense(p)`` without densifying a sparse pack. The bits are
+    the same: a float32 sum that starts at +0.0 is never -0.0, so the +0.0
+    that ``to_dense`` adds off the entries changes nothing."""
+    if isinstance(p, (PackedLayer, TopKPacked)):
+        acc[p.indices] += p.entry_values()
+    else:
+        acc += to_dense(p)
+
+
 # ----------------------------------------------------------------- sharding
 
 def shard(n_items: int, num_learners: int, seed: int, epoch: int) -> list[np.ndarray]:
@@ -120,13 +130,14 @@ class Cluster:
     Every learner would hold the same weights and apply the same update, so
     the cluster holds one model and one optimizer; what each rank owns is
     its shard of the batch and its residue per layer
-    (``codec_states[rank]``). A step runs every rank's forward and backward
-    on the shared model, packs each rank's gradients against its residues,
-    averages each layer's N packs once in rank order in float32, and
-    applies that average with one optimizer update.
+    (``codec_states[rank]``). A step runs one forward and one backward over
+    the N local batches stacked on a rank axis, packs each rank's checked
+    gradient row against its residues, and applies the rank-order float32
+    average of each layer's N packs with one optimizer update.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
-    ``make_codec`` callable; kinds left out run uncompressed.
+    ``make_codec`` callable; kinds left out run uncompressed. ``threads``
+    (at least 1) is accepted and changes nothing: no per-rank job is left.
     """
 
     def __init__(self, build_model, train: Dataset, codec_by_kind: dict,
@@ -139,12 +150,13 @@ class Cluster:
                 f"global minibatch {global_minibatch} not divisible by {num_learners} learners")
         if len(train) < global_minibatch:
             raise ValueError("dataset smaller than one global minibatch")
+        if int(threads) < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         self.train = train
         self.num_learners = num_learners
         self.global_minibatch = global_minibatch
         self.local_batch = global_minibatch // num_learners
         self.seed = seed
-        self.threads = max(1, int(threads))
 
         self.model = build_model(seed)
         self.optimizer = make_opt()
@@ -159,7 +171,7 @@ class Cluster:
 
         self.epoch = 0
         self.global_step = 0
-        self._shards: list[np.ndarray] = []
+        self._shards = np.empty((num_learners, 0), dtype=np.int64)
         self._step_in_epoch = 0
 
     @property
@@ -168,54 +180,44 @@ class Cluster:
 
     def start_epoch(self, epoch: int) -> None:
         self.epoch = epoch
-        self._shards = shard(len(self.train), self.num_learners, self.seed, epoch)
+        streams = shard(len(self.train), self.num_learners, self.seed, epoch)
+        # (N, steps * b): every step of the epoch lies within each stream
+        self._shards = np.stack([s[:self.steps_per_epoch * self.local_batch] for s in streams])
         self._step_in_epoch = 0
 
-    def _next_batches(self):
-        b = self.local_batch
-        t = self._step_in_epoch
-        batches = []
-        for rank in range(self.num_learners):
-            idx = self._shards[rank][t * b:(t + 1) * b]
-            batches.append((self.train.features[idx], self.train.labels[idx]))
-        self._step_in_epoch += 1
-        return batches
+    def _check_finite(self, losses: list[float], grads: list[np.ndarray]) -> None:
+        """Raise DivergenceError at the first non-finite value, rank-major, loss first."""
+        bad = np.column_stack([~np.isfinite(losses)] + [~np.isfinite(g).all(axis=1) for g in grads])
+        if bad.any():
+            rank, col = divmod(int(bad.argmax()), bad.shape[1])
+            reason = (f"non-finite loss {losses[rank]} on rank {rank}" if col == 0 else
+                      f"non-finite gradient in layer {self.layer_names[col - 1]} on rank {rank}")
+            raise DivergenceError(self.epoch, self.global_step, reason)
 
-    def _compute_and_pack(self, rank: int, x, y):
-        loss, cache = self.model.forward(x, y)
-        if not np.isfinite(loss):
-            raise DivergenceError(self.epoch, self.global_step,
-                                  f"non-finite loss {loss} on rank {rank}")
+    def _compute_and_pack(self) -> tuple[list[float], list[list]]:
+        """Every rank's losses and packs; the gradient rows are freed before the metrics run."""
+        b, t = self.local_batch, self._step_in_epoch
+        idx = self._shards[:, t * b:(t + 1) * b]
+        self._step_in_epoch += 1
+        losses, cache = self.model.forward(self.train.features[idx], self.train.labels[idx])
         grads = self.model.backward(cache)
-        states = self.codec_states[rank]
-        packs = []
-        for li, gv in enumerate(serialize_grad(grads)):
-            # checked before packing, so no residue takes in an inf or NaN
-            if not np.isfinite(gv.values).all():
-                raise DivergenceError(
-                    self.epoch, self.global_step,
-                    f"non-finite gradient in layer {self.layer_names[li]} on rank {rank}")
-            packed, states[li] = self.codecs[li](states[li], gv)
-            packs.append(packed)
-        return loss, packs
+        # checked before packing, so no residue takes in an inf or NaN
+        self._check_finite(losses, grads)
+        all_packs = [[None] * len(grads) for _ in self.codec_states]
+        for rank, states in enumerate(self.codec_states):
+            for li, g in enumerate(grads):
+                all_packs[rank][li], states[li] = self.codecs[li](states[li], GradientVector(li, g[rank]))
+        return losses, all_packs
 
     def sync_step(self) -> StepMetrics:
-        jobs = list(enumerate(self._next_batches()))
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(lambda j: self._compute_and_pack(j[0], *j[1]), jobs))
-        else:
-            results = [self._compute_and_pack(rank, x, y) for rank, (x, y) in jobs]
-        losses = [r[0] for r in results]
-        all_packs = [r[1] for r in results]
-
+        losses, all_packs = self._compute_and_pack()
         # barrier: the exchange is lossless, so the rank-order average of
         # each layer is what every learner would compute
         grads: list[np.ndarray] = []
         for li, size in enumerate(self.layer_sizes):
             acc = np.zeros(size, dtype=np.float32)
             for packs in all_packs:
-                acc += to_dense(packs[li])
+                add_pack(acc, packs[li])
             acc /= np.float32(self.num_learners)
             grads.extend(split_vector(acc, self.param_shapes[li]))
         self.optimizer.update([p for l in self.model.param_layers for p in l.params()], grads)

@@ -177,6 +177,20 @@ def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
     assert not out.exists()
 
 
+def test_thread_count_changes_no_output(tmp_path, monkeypatch):
+    # the variable is accepted and validated; one stacked pass over all
+    # ranks has nothing to run concurrently, so every value writes the same
+    path = write_config(tmp_path, base_config(
+        learners=4, codec={"fc": {"kind": "adacomp", "bin_size": 16}}))
+    written = []
+    for threads in ("4", "1"):
+        monkeypatch.setenv("ADACOMP_THREADS", threads)
+        out = tmp_path / f"threads-{threads}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        written.append((out / "metrics.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def idx_config(tmp_path):
     img, lbl = synth_digits_idx(16, seed=0, out_dir=tmp_path / "data")
     return base_config(

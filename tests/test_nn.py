@@ -263,6 +263,46 @@ def test_every_layer_skips_its_input_gradient_on_request():
         assert [g.tobytes() for g in same] == [g.tobytes() for g in grads]
 
 
+# ------------------------------------------------------------- rank axis
+
+def _stack_model(kind):
+    if kind == "mlp":
+        return build_mlp(20, [32, 16], 5, seed=3), (20,)
+    return build_cnn(1, [4, 6], 12, 5, seed=3, image_hw=(16, 16)), (1, 16, 16)
+
+
+@pytest.mark.parametrize("b", [1, 2, 8])
+@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+def test_stacked_ranks_match_per_rank_calls_bitwise(kind, n, b):
+    model, shape = _stack_model(kind)
+    rng = np.random.default_rng([n, b])
+    x = rng.standard_normal((n, b, *shape)).astype(np.float32)
+    y = rng.integers(0, 5, (n, b))
+    losses, cache = model.forward(x, y)
+    rows = model.backward(cache)
+    assert len(losses) == n and all(type(l) is float for l in losses)
+    assert [r.shape for r in rows] == [(n, sum(p.size for p in l.params()))
+                                       for l in model.param_layers]
+    assert all(r.dtype == np.float32 and r.flags.c_contiguous for r in rows)
+    for rank in range(n):
+        loss, own = model.forward(x[rank], y[rank])
+        assert type(loss) is float and loss == losses[rank]
+        for row, gv in zip(rows, serialize_grad(model.backward(own)), strict=True):
+            assert row[rank].tobytes() == gv.values.tobytes()
+
+
+@pytest.mark.parametrize("model, x, classes", _models(), ids=["cnn", "mlp", "relu_first"])
+def test_predict_is_the_argmax_of_the_forward_logits(model, x, classes, monkeypatch):
+    seen = []
+    loss = model.head.loss
+    monkeypatch.setattr(model.head, "loss", lambda logits, labels: seen.append(logits) or loss(logits, labels))
+    model.forward(x, np.arange(len(x)) % classes)
+    got = model.predict(x)
+    assert got.shape == (len(x),)
+    assert got.tobytes() == seen[0].argmax(axis=1).tobytes()
+
+
 # ------------------------------------------------------------- serialization
 
 def test_conv_serialization_layout():

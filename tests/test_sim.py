@@ -1,13 +1,11 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adacomp import sim
-from adacomp.baselines import DensePacked, OneBitPacked, TopKPacked
-from adacomp.codec import CodecState, GradientVector, PackedLayer
+from adacomp.baselines import DensePacked, OneBitPacked, TopKPacked, topk_pack
+from adacomp.codec import BinConfig, CodecState, GradientVector, PackedLayer, pack
 from adacomp.data import synth_digits, synth_gaussians
 from adacomp.nn import build_cnn, build_mlp, serialize_grad
 from adacomp.optim import Adam, SGDMomentum
@@ -28,16 +26,17 @@ def builder(seed):
 
 
 def make_cluster(num_learners, minibatch, codec_by_kind=None, seed=1, lr=0.1,
-                 threads=1, train=None, build=builder):
+                 train=None, build=builder):
     return Cluster(build, train if train is not None else dataset(),
                    codec_by_kind or {}, lambda: SGDMomentum(lr=lr),
-                   num_learners=num_learners, global_minibatch=minibatch,
-                   seed=seed, threads=threads)
+                   num_learners=num_learners, global_minibatch=minibatch, seed=seed)
 
 
-def make_reference(num_learners, minibatch, codec_by_kind=None, seed=1, lr=0.1):
-    return ReplicaReference(builder, dataset(), codec_by_kind or {},
-                            lambda: SGDMomentum(lr=lr), num_learners, minibatch, seed)
+def make_reference(num_learners, minibatch, codec_by_kind=None, seed=1, lr=0.1,
+                   train=None, build=builder):
+    return ReplicaReference(build, train if train is not None else dataset(),
+                            codec_by_kind or {}, lambda: SGDMomentum(lr=lr),
+                            num_learners, minibatch, seed)
 
 
 def run_steps(cluster, epochs, collect=False):
@@ -211,14 +210,55 @@ def test_rg_p95_matches_sorted_list_reference(codec_by_kind):
 
 @pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
 def test_sync_step_unpacks_each_pack_once(codec_by_kind, monkeypatch):
-    calls = []
+    # every pack is added into its layer's average once; only the dense
+    # kinds are expanded to a full layer for it
+    added, densified = [], []
     for name in ("unpack", "unpack_topk", "unpack_onebit", "unpack_dense"):
         original = getattr(sim, name)
-        monkeypatch.setattr(sim, name, lambda p, f=original: calls.append(1) or f(p))
+        monkeypatch.setattr(sim, name, lambda p, f=original: densified.append(type(p)) or f(p))
+    add_pack = sim.add_pack
+    monkeypatch.setattr(sim, "add_pack", lambda acc, p: added.append(type(p)) or add_pack(acc, p))
     cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
     cluster.start_epoch(1)
     cluster.sync_step()
-    assert len(calls) == 4 * len(cluster.layer_sizes)
+    assert len(added) == 4 * len(cluster.layer_sizes)
+    assert densified == [t for t in added if t in (OneBitPacked, DensePacked)]
+
+
+def _edge_packs(n):
+    """Packs of every kind on an n-element layer, among them sparse ones
+    whose entries reconstruct to -0.0."""
+    rng = np.random.default_rng(5)
+    packs = []
+    for r in range(3):
+        gv = GradientVector(0, (rng.standard_normal(n) * 10.0 ** (r - 1)).astype(np.float32))
+        packs.append(pack(CodecState.zeros(n), gv, BinConfig(bin_size=7))[0])
+        packs.append(topk_pack(CodecState.zeros(n), gv, 0.2)[0])
+        packs.append(make_codec("onebit")(CodecState.zeros(n), gv)[0])
+        packs.append(make_codec("identity")(CodecState.zeros(n), gv)[0])
+    idx = np.arange(0, n, 3, dtype=np.int64)
+    signs = np.where(idx % 2 == 0, 1, -1).astype(np.int8)
+    packs.append(TopKPacked(0, n, idx, signs, 0.5, -0.0))
+    packs.append(TopKPacked(0, n, idx, signs, -0.0, -0.0))
+    packs.append(PackedLayer(0, n, 7, 0.0, idx, signs))
+    packs.append(DensePacked(0, np.full(n, -0.0, np.float32)))
+    return packs
+
+
+@pytest.mark.parametrize("order", ["as_built", "reversed", "edge_first"])
+def test_add_pack_equals_the_sum_of_dense_packs_bitwise(order):
+    n = 50
+    packs = _edge_packs(n)
+    if order == "reversed":
+        packs = packs[::-1]
+    elif order == "edge_first":
+        packs = packs[-4:] + packs[:-4]
+    got = np.zeros(n, np.float32)
+    want = np.zeros(n, np.float32)
+    for p in packs:
+        sim.add_pack(got, p)
+        want += sim.to_dense(p)
+        assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
 
 
 def test_adacomp_weight_identity_over_100_steps():
@@ -248,40 +288,32 @@ def test_run_is_pure_function_of_seed():
     assert metrics_a != metrics_c
 
 
-def assert_same_clusters(a, b):
-    for p, q in zip(weights_of(a.model), weights_of(b.model), strict=True):
-        assert_bitwise(p, q)
-    for got, want in zip(a.codec_states, b.codec_states, strict=True):
-        for s, r in zip(got, want, strict=True):
-            assert_bitwise(s.residue, r.residue)
+@pytest.mark.parametrize("n_learners, minibatch", [(3, 48), (16, 32)])
+@pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
+def test_cluster_matches_replicas_at_3_and_16_learners(codec_by_kind, n_learners, minibatch):
+    cluster = make_cluster(n_learners, minibatch, codec_by_kind=codec_by_kind)
+    ref = make_reference(n_learners, minibatch, codec_by_kind=codec_by_kind)
+    cluster.start_epoch(1)
+    for t in range(cluster.steps_per_epoch):
+        got = cluster.sync_step()
+        loss, _ = ref.step(1, t)
+        assert got.train_loss == loss
+        assert_matches_replicas(cluster, ref)
 
 
-def test_threaded_matches_sequential_bitwise():
-    a = make_cluster(4, 16, {"fc": make_codec("adacomp", bin_size=16)}, threads=1)
-    b = make_cluster(4, 16, {"fc": make_codec("adacomp", bin_size=16)}, threads=4)
-    ma = run_steps(a, 1)
-    mb = run_steps(b, 1)
-    assert ma == mb
-    assert_same_clusters(a, b)
-
-
-def test_threaded_cnn_matches_sequential_bitwise():
-    # four ranks run conv, ReLU and pool on the same layers at once, each
-    # with its own caches; a short switch interval interleaves them finely
+def test_cnn_cluster_matches_replicas():
     train = synth_digits(128, seed=3)
-    codecs = {"conv": make_codec("adacomp", bin_size=50), "fc": make_codec("adacomp", bin_size=50)}
-    clusters = [make_cluster(4, 32, codecs, threads=threads, train=train,
-                             build=lambda seed: build_cnn(1, [4, 8], 16, 10, seed))
-                for threads in (1, 4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ma, mb = (run_steps(c, 2) for c in clusters)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(ma) == 8
-    assert ma == mb
-    assert_same_clusters(*clusters)
+    codecs = {"conv": make_codec("adacomp", bin_size=50), "fc": make_codec("topk", fraction=0.05)}
+    build = lambda seed: build_cnn(1, [4, 8], 16, 10, seed)
+    cluster = make_cluster(4, 32, codecs, train=train, build=build)
+    ref = make_reference(4, 32, codecs, train=train, build=build)
+    for epoch in (1, 2):
+        cluster.start_epoch(epoch)
+        for t in range(cluster.steps_per_epoch):
+            got = cluster.sync_step()
+            loss, _ = ref.step(epoch, t)
+            assert got.train_loss == loss
+            assert_matches_replicas(cluster, ref)
 
 
 # ----------------------------------------------------------------- metrics
@@ -341,14 +373,11 @@ def test_divergence_detector():
 def test_non_finite_gradient_stops_the_step(bad, monkeypatch):
     cluster = make_cluster(2, 16, {"fc": make_codec("adacomp", bin_size=50)})
     backward = cluster.model.backward
-    calls = []
 
     def poisoned(cache):
-        # ranks run in order on one thread: the second call is rank 1's
+        # one (N, size) matrix per layer: row 1 of layer 1 is rank 1's fc1
         grads = backward(cache)
-        calls.append(1)
-        if len(calls) == 2:
-            grads[1][0].flat[3] = bad
+        grads[1][1, 3] = bad
         return grads
 
     monkeypatch.setattr(cluster.model, "backward", poisoned)
@@ -357,6 +386,22 @@ def test_non_finite_gradient_stops_the_step(bad, monkeypatch):
         cluster.sync_step()
     assert (e.value.epoch, e.value.step) == (1, 0)
     assert all(np.isfinite(s.residue).all() for states in cluster.codec_states for s in states)
+
+
+def test_divergence_names_the_first_failure_in_rank_order():
+    cluster = make_cluster(3, 48)
+    cluster.start_epoch(1)
+    grads = [np.zeros((3, n), np.float32) for n in cluster.layer_sizes]
+    cluster._check_finite([0.0, 0.0, 0.0], grads)
+    grads[1][2, 0] = np.nan
+    with pytest.raises(DivergenceError, match="gradient in layer fc1 on rank 2"):
+        cluster._check_finite([0.0, 0.0, 0.0], grads)
+    grads[0][1, 5] = np.inf
+    with pytest.raises(DivergenceError, match="gradient in layer fc0 on rank 1"):
+        cluster._check_finite([0.0, 0.0, np.inf], grads)
+    # a rank's loss is checked before its gradients
+    with pytest.raises(DivergenceError, match="non-finite loss nan on rank 1"):
+        cluster._check_finite([0.0, np.nan, 0.0], grads)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value", "ignore:divide by zero")
@@ -378,6 +423,9 @@ def test_cluster_validation():
         make_cluster(0, 16)
     with pytest.raises(ValueError, match="smaller than one global minibatch"):
         make_cluster(1, 512)
+    with pytest.raises(ValueError, match="threads"):
+        Cluster(builder, dataset(), {}, SGDMomentum, num_learners=1, global_minibatch=16,
+                seed=1, threads=0)
 
 
 def test_make_codec_registry():
