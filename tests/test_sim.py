@@ -26,10 +26,11 @@ def builder(seed):
 
 
 def make_cluster(num_learners, minibatch, codec_by_kind=None, seed=1, lr=0.1,
-                 train=None, build=builder):
+                 threads=1, train=None, build=builder):
     return Cluster(build, train if train is not None else dataset(),
                    codec_by_kind or {}, lambda: SGDMomentum(lr=lr),
-                   num_learners=num_learners, global_minibatch=minibatch, seed=seed)
+                   num_learners=num_learners, global_minibatch=minibatch,
+                   seed=seed, threads=threads)
 
 
 def make_reference(num_learners, minibatch, codec_by_kind=None, seed=1, lr=0.1,
@@ -286,6 +287,38 @@ def test_run_is_pure_function_of_seed():
     assert metrics_a == metrics_b
     metrics_c = run_steps(make_cluster(2, 16, adacomp, seed=6), 2)
     assert metrics_a != metrics_c
+
+
+def assert_same_clusters(a, b):
+    for p, q in zip(weights_of(a.model), weights_of(b.model), strict=True):
+        assert_bitwise(p, q)
+    for got, want in zip(a.codec_states, b.codec_states, strict=True):
+        for s, r in zip(got, want, strict=True):
+            assert_bitwise(s.residue, r.residue)
+
+
+# the thread count is accepted and validated but runs nothing in parallel:
+# a cluster built with threads=4 must give the bits of one built with 1
+
+def test_threaded_matches_sequential_bitwise():
+    a = make_cluster(4, 16, {"fc": make_codec("adacomp", bin_size=16)}, threads=1)
+    b = make_cluster(4, 16, {"fc": make_codec("adacomp", bin_size=16)}, threads=4)
+    ma = run_steps(a, 1)
+    mb = run_steps(b, 1)
+    assert ma == mb
+    assert_same_clusters(a, b)
+
+
+def test_threaded_cnn_matches_sequential_bitwise():
+    train = synth_digits(128, seed=3)
+    codecs = {"conv": make_codec("adacomp", bin_size=50), "fc": make_codec("adacomp", bin_size=50)}
+    clusters = [make_cluster(4, 32, codecs, threads=threads, train=train,
+                             build=lambda seed: build_cnn(1, [4, 8], 16, 10, seed))
+                for threads in (1, 4)]
+    ma, mb = (run_steps(c, 2) for c in clusters)
+    assert len(ma) == 8
+    assert ma == mb
+    assert_same_clusters(*clusters)
 
 
 @pytest.mark.parametrize("n_learners, minibatch", [(3, 48), (16, 32)])
