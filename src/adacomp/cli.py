@@ -65,7 +65,7 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         try:
-            summary = run(cfg, Path(args.out), threads=threads)
+            summary = run(cfg, Path(args.out))
         except (ConfigError, DataError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CONFIG
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return EXIT_CONFIG
-    rows = sweep(cfg, args.axis, values, Path(args.out), threads=threads)
+    rows = sweep(cfg, args.axis, values, Path(args.out))
     for r in rows:
         err = "-" if r["final_test_error"] is None else f"{r['final_test_error']:.4f}"
         rate = "-" if r["mean_compression_rate"] is None else f"{r['mean_compression_rate']:.1f}x"

@@ -240,8 +240,11 @@ class Model:
 def serialize_grad(grads: ModelGradients) -> list[GradientVector]:
     """Flatten each layer's gradients to one vector: parameters in row-major
     order, bias last."""
-    return [GradientVector(layer_id, np.concatenate([p.reshape(-1) for p in parts]).astype(np.float32))
-            for layer_id, parts in enumerate(grads)]
+    out = []
+    for layer_id, parts in enumerate(grads):
+        flat = np.concatenate([p.reshape(-1) for p in parts]).astype(np.float32)
+        out.append(GradientVector(layer_id, flat))
+    return out
 
 
 def split_vector(values: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
@@ -251,7 +254,8 @@ def split_vector(values: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
     *lead, n = values.shape
     if sum(sizes) != n:
         raise ValueError(f"vector of {n} values cannot fill shapes totalling {sum(sizes)}")
-    out, pos = [], 0
+    out = []
+    pos = 0
     for shape, size in zip(shapes, sizes):
         out.append(values[..., pos:pos + size].reshape(*lead, *shape))
         pos += size

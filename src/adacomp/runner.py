@@ -80,16 +80,16 @@ def check_model_fits(cfg: ExperimentConfig, data: Dataset) -> None:
                                               f"training samples")
 
 
-def build_cluster(cfg: ExperimentConfig, train: Dataset, threads: int = 1) -> Cluster:
+def build_cluster(cfg: ExperimentConfig, train: Dataset) -> Cluster:
     codec_by_kind = {kind: make_codec(**entry) for kind, entry in cfg.codec.items()}
     opt = cfg.optimizer
     make_opt = lambda: make_optimizer(opt["kind"], **{k: v for k, v in opt.items() if k != "kind"})
     return Cluster(model_builder(cfg), train, codec_by_kind, make_opt,
                    num_learners=cfg.learners, global_minibatch=cfg.minibatch,
-                   seed=cfg.seed, threads=threads)
+                   seed=cfg.seed)
 
 
-def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
+def run(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute one experiment; returns the summary dict, which is also
     written to summary.json. A divergence abort flushes partial metrics and
     is reported in the summary rather than raised. A model or minibatch that
@@ -99,7 +99,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     train, test = build_datasets(cfg)
     check_model_fits(cfg, train)
-    cluster = build_cluster(cfg, train, threads)
+    cluster = build_cluster(cfg, train)
 
     layer_names = cluster.layer_names
     n_layers = len(layer_names)
@@ -170,7 +170,7 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def sweep(cfg: ExperimentConfig, axis: str, values: list[int], out_dir, threads: int = 1) -> list[dict]:
+def sweep(cfg: ExperimentConfig, axis: str, values: list[int], out_dir) -> list[dict]:
     """One run per axis value; failures are recorded and the sweep continues.
     Writes sweep.csv with (value, final test error, mean compression rate,
     status) and returns the row dicts."""
@@ -180,7 +180,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[int], out_dir, threads:
     for value in values:
         run_dir = out_dir / f"{axis}-{value}"
         try:
-            summary = run(apply_axis(cfg, axis, value), run_dir, threads)
+            summary = run(apply_axis(cfg, axis, value), run_dir)
             status = "diverged" if summary["diverged"] else "ok"
             rows.append({"value": value, "final_test_error": summary["final_test_error"],
                          "mean_compression_rate": summary["mean_rate_overall"],

@@ -96,6 +96,9 @@ def add_pack(acc: np.ndarray, p) -> None:
     """``acc += to_dense(p)`` without densifying a sparse pack. The bits are
     the same: a float32 sum that starts at +0.0 is never -0.0, so the +0.0
     that ``to_dense`` adds off the entries changes nothing."""
+    if isinstance(p, PackedLayer):
+        # a repeated index would drop an addition: check the pack, as unpack does
+        p.validate()
     if isinstance(p, (PackedLayer, TopKPacked)):
         acc[p.indices] += p.entry_values()
     else:
@@ -136,13 +139,11 @@ class Cluster:
     average of each layer's N packs with one optimizer update.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
-    ``make_codec`` callable; kinds left out run uncompressed. ``threads``
-    (at least 1) is accepted and changes nothing: no per-rank job is left.
+    ``make_codec`` callable; kinds left out run uncompressed.
     """
 
     def __init__(self, build_model, train: Dataset, codec_by_kind: dict,
-                 make_opt, num_learners: int, global_minibatch: int, seed: int,
-                 threads: int = 1):
+                 make_opt, num_learners: int, global_minibatch: int, seed: int):
         if num_learners < 1:
             raise ValueError("need at least one learner")
         if global_minibatch % num_learners != 0:
@@ -150,8 +151,6 @@ class Cluster:
                 f"global minibatch {global_minibatch} not divisible by {num_learners} learners")
         if len(train) < global_minibatch:
             raise ValueError("dataset smaller than one global minibatch")
-        if int(threads) < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
         self.train = train
         self.num_learners = num_learners
         self.global_minibatch = global_minibatch

@@ -1,28 +1,40 @@
-"""Every name that the benchmark's tracer wraps by ``getattr`` must stay
+"""Every name that the benchmark looks up on the program must stay
 resolvable, so that a refactor which drops one fails here and not only in
 a traced benchmark run (the list is ROADMAP's "Benchmark patch points")."""
 
 import pytest
 
+import adacomp
 from adacomp import codec, metrics, nn, optim, runner, sim, wire
 
 PATCH_POINTS = [
+    # wrapped by the tracer in every traced run
     *((sim, name) for name in (
         "pack", "unpack", "ls_pack", "topk_pack", "onebit_pack", "identity_pack",
         "unpack_topk", "unpack_onebit", "unpack_dense", "payload_bits",
         "nearest_rank_percentile", "shard")),
-    *((sim.Cluster, name) for name in (
-        "sync_step", "evaluate", "pooled_abs_residue", "weights_identical",
-        "steps_per_epoch", "layer_sizes")),
+    *((adacomp, name) for name in ("pack", "unpack", "encode", "decode")),
+    (wire, "encode"),
+    (wire, "decode"),
     (nn.Model, "forward"),
     (nn.Model, "backward"),
     (optim.SGDMomentum, "update"),
     (optim.Adam, "update"),
+    (sim.Cluster, "evaluate"),
+    (sim.Cluster, "pooled_abs_residue"),
     (metrics.MetricsWriter, "write_step"),
     (metrics.MetricsWriter, "write_epoch"),
-    *((runner, name) for name in ("synth_digits", "synth_gaussians", "build_cluster", "run")),
+    (runner, "synth_digits"),
+    (runner, "synth_gaussians"),
+    # wrapped or read in every run, traced or not
+    (sim.Cluster, "sync_step"),
+    (runner, "build_cluster"),
+    (runner, "run"),
+    *((sim.Cluster, name) for name in ("weights_identical", "steps_per_epoch", "layer_sizes")),
+    # read by the codec round-trip workload
+    *((adacomp, name) for name in ("GradientVector", "CodecState", "BinConfig")),
+    (codec.CodecState, "zeros"),
     (codec.PackedLayer, "bins"),
-    (codec.PackedLayer, "__eq__"),
     (wire.EncodedLayer, "declared_bits"),
 ]
 
@@ -42,3 +54,7 @@ def _owner(owner, name):
 def test_patch_point_resolves(owner, name):
     assert getattr(_owner(owner, name), name) is not None
 
+
+def test_packed_layer_defines_its_own_equality():
+    # the round-trip check compares decode(encode(p)) with p by ==
+    assert codec.PackedLayer.__eq__ is not object.__eq__
