@@ -3,19 +3,18 @@
   adacomp run   --config cfg.json --out outdir
   adacomp sweep --config cfg.json --axis {L_T,minibatch,learners} --values 50,200,800 [--out outdir]
 
-ADACOMP_THREADS (a positive integer, default 1) is accepted and checked;
-every step is one stacked pass over all learners, so its value changes
-neither results nor speed.
+Every input comes from the arguments and the files they name. A sweep
+builds each run's config through the same checks as the loaded one, so a
+bad axis value is recorded in sweep.csv as a named config error and the
+sweep goes on.
 
-Exit codes: 0 on success; 2 for a bad config, ADACOMP_THREADS value,
-argument or data file, with an ``error: ...`` line on stderr; 3 when a run
-diverges.
+Exit codes: 0 on success; 2 for a bad config, argument or data file, with an
+``error: ...`` line on stderr; 3 when a run diverges.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -44,16 +43,6 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--out", default="sweep-out", help="output directory")
 
     args = parser.parse_args(argv)
-    raw_threads = os.environ.get("ADACOMP_THREADS", "1")
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        print(f"error: ADACOMP_THREADS must be a positive integer, got {raw_threads!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
         cfg = ExperimentConfig.load(args.config)
     except FileNotFoundError:

@@ -7,8 +7,10 @@ typos fail fast instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from .codec import MAX_BIN_SIZE
 
 DEFAULT_CODEC = {
     "conv": {"kind": "adacomp", "bin_size": 50},
@@ -132,7 +134,9 @@ def _validate_dataset(spec, path="dataset") -> dict:
     raise ConfigError(f"{path}.kind", f"unknown dataset kind {kind!r}")
 
 
-def _validate_codec(entry, path, default_bin_size: int) -> dict:
+def _validate_codec(entry, layer_kind: str) -> dict:
+    path = f"codec.{layer_kind}"
+    default_bin_size = DEFAULT_CODEC[layer_kind]["bin_size"]
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"{path}.kind", "missing required key")
     kind = entry["kind"]
@@ -140,14 +144,14 @@ def _validate_codec(entry, path, default_bin_size: int) -> dict:
         _check_keys(entry, path, {"kind"}, {"bin_size", "scale_factor"})
         return {"kind": kind,
                 "bin_size": _as_int(entry, path, "bin_size", default=default_bin_size,
-                                    minimum=1, maximum=16384),
+                                    minimum=1, maximum=MAX_BIN_SIZE),
                 "scale_factor": _as_number(entry, path, "scale_factor", default=2.0,
                                            minimum=1.0, maximum=4.0)}
     if kind == "ls":
         _check_keys(entry, path, {"kind"}, {"bin_size"})
         return {"kind": kind,
                 "bin_size": _as_int(entry, path, "bin_size", default=default_bin_size,
-                                    minimum=1, maximum=16384)}
+                                    minimum=1, maximum=MAX_BIN_SIZE)}
     if kind == "topk":
         _check_keys(entry, path, {"kind", "fraction"})
         f = _as_number(entry, path, "fraction", minimum=0.0, maximum=1.0)
@@ -169,8 +173,8 @@ class ExperimentConfig:
     minibatch: int
     epochs: int
     seed: int
-    codec: dict = field(default_factory=lambda: dict(DEFAULT_CODEC))
-    rg_histogram_epochs: list[int] = field(default_factory=list)
+    codec: dict
+    rg_histogram_epochs: list[int]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -210,8 +214,7 @@ class ExperimentConfig:
         for layer_kind, entry in codec_raw.items():
             if layer_kind not in ("conv", "fc"):
                 raise ConfigError(f"codec.{layer_kind}", "unknown layer kind (use conv/fc)")
-            codec[layer_kind] = _validate_codec(entry, f"codec.{layer_kind}",
-                                                default_bin_size=50 if layer_kind == "conv" else 500)
+            codec[layer_kind] = _validate_codec(entry, layer_kind)
 
         learners = _as_int(raw, "config", "learners", minimum=1)
         minibatch = _as_int(raw, "config", "minibatch", minimum=1)
@@ -239,12 +242,6 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def replace(self, **overrides) -> "ExperimentConfig":
-        """Copy with top-level fields swapped out (used by sweeps)."""
-        data = {
-            "model": self.model, "dataset": self.dataset, "optimizer": self.optimizer,
-            "learners": self.learners, "minibatch": self.minibatch, "epochs": self.epochs,
-            "seed": self.seed, "codec": self.codec,
-            "rg_histogram_epochs": self.rg_histogram_epochs,
-        }
-        data.update(overrides)
-        return ExperimentConfig(**data)
+        """Copy with top-level fields swapped out (used by sweeps), checked
+        as a loaded config is."""
+        return self.from_dict({**asdict(self), **overrides})

@@ -94,12 +94,12 @@ def run(cfg: ExperimentConfig, out_dir) -> dict:
     written to summary.json. A divergence abort flushes partial metrics and
     is reported in the summary rather than raised. A model or minibatch that
     does not fit the loaded data raises ConfigError before anything is
-    built."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    built or written."""
     train, test = build_datasets(cfg)
     check_model_fits(cfg, train)
     cluster = build_cluster(cfg, train)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     layer_names = cluster.layer_names
     n_layers = len(layer_names)

@@ -196,6 +196,10 @@ class Cluster:
     def _compute_and_pack(self) -> tuple[list[float], list[list]]:
         """Every rank's losses and packs; the gradient rows are freed before the metrics run."""
         b, t = self.local_batch, self._step_in_epoch
+        steps = self._shards.shape[1] // b
+        if t >= steps:
+            raise RuntimeError(f"step {t} is outside epoch {self.epoch}, which has {steps} steps; "
+                               f"call start_epoch first")
         idx = self._shards[:, t * b:(t + 1) * b]
         self._step_in_epoch += 1
         losses, cache = self.model.forward(self.train.features[idx], self.train.labels[idx])

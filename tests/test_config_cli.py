@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import adacomp
 from adacomp.cli import main
 from adacomp.config import ConfigError, ExperimentConfig
 from adacomp.data import synth_digits_idx
+from adacomp.runner import sweep
 
 
 def base_config(**overrides):
@@ -72,9 +78,12 @@ def test_invalid_bin_size_names_the_field():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_dict(cfg)
     assert exc.value.field == "codec.fc.bin_size"
-    cfg = base_config(codec={"fc": {"kind": "adacomp", "bin_size": 99999}})
-    with pytest.raises(ConfigError, match="codec.fc.bin_size"):
-        ExperimentConfig.from_dict(cfg)
+    for bin_size in (99999, 16385):
+        cfg = base_config(codec={"fc": {"kind": "adacomp", "bin_size": bin_size}})
+        with pytest.raises(ConfigError, match="codec.fc.bin_size"):
+            ExperimentConfig.from_dict(cfg)
+    cfg = base_config(codec={"fc": {"kind": "adacomp", "bin_size": 16384}})
+    assert ExperimentConfig.from_dict(cfg).codec["fc"]["bin_size"] == 16384
 
 
 def test_minibatch_divisibility_checked():
@@ -101,6 +110,29 @@ def test_replace_preserves_unrelated_fields():
     swapped = cfg.replace(learners=4, minibatch=64)
     assert swapped.learners == 4 and swapped.minibatch == 64
     assert swapped.model == cfg.model and swapped.seed == cfg.seed
+    with pytest.raises(ConfigError, match="config.threads"):
+        cfg.replace(threads=4)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"codec": None},
+    {"model": {"kind": "cnn", "in_maps": 1, "conv_maps": [4, 8], "fc_hidden": 16,
+               "classes": 10}},
+    {"dataset": {"kind": "digits", "train": 64, "test": 32}},
+    {"dataset": {"kind": "idx", "train_images": "a", "train_labels": "b",
+                 "test_images": "c", "test_labels": "d", "center": True}},
+    {"optimizer": {"kind": "adam", "lr": 0.01}},
+    {"codec": {"conv": {"kind": "adacomp"}, "fc": {"kind": "ls", "bin_size": 16}}},
+    {"codec": {"conv": {"kind": "topk", "fraction": 0.1}, "fc": {"kind": "onebit"}}},
+    {"rg_histogram_epochs": [1, 3]},
+], ids=["mlp_gaussians_sgd_identity", "default_codec", "cnn", "digits", "idx", "adam",
+        "adacomp_ls", "topk_onebit", "histogram"])
+def test_from_dict_reads_back_its_own_fields(overrides):
+    raw = {k: v for k, v in base_config(**overrides).items() if v is not None}
+    cfg = ExperimentConfig.from_dict(raw)
+    assert ExperimentConfig.from_dict(asdict(cfg)) == cfg
+    assert cfg.replace() == cfg
 
 
 # ---------------------------------------------------------------------- CLI
@@ -167,28 +199,27 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["x", "1.5", "", "0", "-2"])
-def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("ADACOMP_THREADS", value)
-    path = write_config(tmp_path, base_config())
-    out = tmp_path / "o"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert "ADACOMP_THREADS" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_thread_count_changes_no_output(tmp_path, monkeypatch):
-    # the variable is accepted and validated; one stacked pass over all
-    # ranks has nothing to run concurrently, so every value writes the same
+def test_module_entry_point_exit_codes(tmp_path):
+    # the program reads no environment variable: ADACOMP_THREADS is ignored
     path = write_config(tmp_path, base_config(
         learners=4, codec={"fc": {"kind": "adacomp", "bin_size": 16}}))
-    written = []
-    for threads in ("4", "1"):
-        monkeypatch.setenv("ADACOMP_THREADS", threads)
-        out = tmp_path / f"threads-{threads}"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-        written.append((out / "metrics.csv").read_bytes())
-    assert written[0] == written[1]
+    src = str(Path(adacomp.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env.pop("ADACOMP_THREADS", None)
+
+    def cli(config, out, **extra):
+        return subprocess.run([sys.executable, "-m", "adacomp.cli", "run", "--config", str(config),
+                               "--out", str(out)], env={**env, **extra}, capture_output=True,
+                              text=True, timeout=120)
+
+    plain, with_var = cli(path, tmp_path / "plain"), cli(path, tmp_path / "var", ADACOMP_THREADS="x")
+    assert (plain.returncode, with_var.returncode) == (0, 0), plain.stderr + with_var.stderr
+    assert ((tmp_path / "plain" / "metrics.csv").read_bytes()
+            == (tmp_path / "var" / "metrics.csv").read_bytes())
+    missing = cli(tmp_path / "nope.json", tmp_path / "o")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error: config file not found: ")
 
 
 def idx_config(tmp_path):
@@ -286,6 +317,25 @@ def test_cli_sweep_records_per_run_failures_and_continues(tmp_path):
     assert len(lines) == 3
     assert "error" in lines[1]
     assert lines[2].endswith("ok")
+
+
+@pytest.mark.parametrize("axis, value, field", [
+    ("minibatch", 0, "config.minibatch"),
+    ("minibatch", -4, "config.minibatch"),
+    ("minibatch", 256, "config.minibatch"),  # more than the 128 training samples
+    ("learners", 0, "config.learners"),
+    ("learners", 3, "config.minibatch"),
+    ("L_T", 0, "codec.fc.bin_size"),
+    ("L_T", 16385, "codec.fc.bin_size"),
+])
+def test_sweep_records_a_named_config_error_and_goes_on(tmp_path, axis, value, field):
+    cfg = ExperimentConfig.from_dict(base_config(codec={"fc": {"kind": "adacomp", "bin_size": 8}}))
+    good = {"minibatch": 32, "learners": 2, "L_T": 8}[axis]
+    rows = sweep(cfg, axis, [value, good], tmp_path)
+    assert rows[0]["status"].startswith(f"error: config error at {field}: ")
+    assert rows[1]["status"] == "ok"
+    assert not (tmp_path / f"{axis}-{value}").exists()
+    assert (tmp_path / f"{axis}-{good}" / "metrics.csv").exists()
 
 
 def test_cli_sweep_bad_values(tmp_path, capsys):

@@ -304,11 +304,7 @@ def assert_same_clusters(a, b):
             assert_bitwise(s.residue, r.residue)
 
 
-# ADACOMP_THREADS is only checked at the command line (test_config_cli);
-# these two tests keep their names and check the step with no thread count:
-# it holds no state outside its cluster, and it equals N per-rank replicas
-
-def test_threaded_matches_sequential_bitwise():
+def test_identically_built_clusters_step_alike():
     # two clusters built alike and stepped in turn must stay bit-identical
     a, b = (make_cluster(4, 16, {"fc": make_codec("adacomp", bin_size=16)}) for _ in range(2))
     for epoch in (1, 2):
@@ -319,7 +315,7 @@ def test_threaded_matches_sequential_bitwise():
     assert_same_clusters(a, b)
 
 
-def test_threaded_cnn_matches_sequential_bitwise():
+def test_4_learner_adacomp_cnn_matches_replicas():
     train = synth_digits(128, seed=3)
     codecs = {"conv": make_codec("adacomp", bin_size=50), "fc": make_codec("adacomp", bin_size=50)}
     build = lambda seed: build_cnn(1, [4, 8], 16, 10, seed)
@@ -459,6 +455,23 @@ def test_non_finite_weights_after_the_update_stop_the_step():
     with pytest.raises(DivergenceError, match="non-finite weights in layer fc0 after the update") as e:
         cluster.sync_step()
     assert (e.value.epoch, e.value.step) == (1, 0)
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["before_start_epoch", "past_the_last_step"])
+def test_step_outside_an_epoch_is_a_named_error(started):
+    cluster = make_cluster(2, 64, {"fc": make_codec("adacomp", bin_size=16)})
+    if started:
+        run_steps(cluster, 1)
+    weights = weights_of(cluster.model)
+    residues = [s.residue.copy() for states in cluster.codec_states for s in states]
+    steps = cluster.steps_per_epoch if started else 0
+    with pytest.raises(RuntimeError, match=f"outside epoch {cluster.epoch}, which has {steps} steps"):
+        cluster.sync_step()
+    for a, b in zip(weights_of(cluster.model), weights, strict=True):
+        assert_bitwise(a, b)
+    for s, r in zip((s for states in cluster.codec_states for s in states), residues, strict=True):
+        assert_bitwise(s.residue, r)
+    assert cluster.global_step == steps
 
 
 def test_cluster_validation():
