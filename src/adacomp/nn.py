@@ -10,7 +10,9 @@ need_dx)`` returns the input gradient, or None if not ``need_dx``, with
 that layer's parameter gradients; nothing of a batch is stored on the
 layer. Nothing reads the model's input gradient, so ``Model.backward``
 runs no layer below the lowest parameterized one and asks that one for no
-input gradient.
+input gradient. ReLU and max-pool select by AND with bit masks on the float32
+bit patterns, never ``np.where`` or an argmax gather: a select whose branch
+follows random data mispredicts on every other element.
 
 One code path serves one rank, (b, ...) with 1-D labels, and N ranks
 stacked on a leading axis, (N, b, ...) with (N, b) labels. Products are
@@ -108,22 +110,34 @@ class Conv5x5:
 
 
 class ReLU:
+    """max(x, 0) as a bit mask: the forward caches ``keep = -(x > 0)`` as int8,
+    0 or -1, which numpy widens to 0 or all 32 bits, and both directions AND
+    the float32 bit patterns with it. Bitwise this is ``np.where(x > 0, x,
+    0.0)`` and ``np.where(x > 0, dy, 0.0)``: NaN and -0.0 give +0.0, and dy
+    keeps its own sign of zero where x > 0."""
+
     kind = "relu"
 
     def params(self):
         return []
 
     def forward(self, x: np.ndarray):
-        mask = x > 0
-        return np.where(mask, x, np.float32(0.0)), mask
+        if x.dtype != np.float32:
+            raise TypeError(f"expected float32 values, got {x.dtype}")
+        keep = -(x > 0).view(np.int8)
+        return (x.view(np.int32) & keep).view(np.float32), keep
 
-    def backward(self, dy: np.ndarray, mask, need_dx: bool = True):
-        return (np.where(mask, dy, np.float32(0.0)) if need_dx else None), []
+    def backward(self, dy: np.ndarray, keep, need_dx: bool = True):
+        return ((dy.view(np.int32) & keep).view(np.float32) if need_dx else None), []
 
 
 class MaxPool2x2:
-    """2x2 window, stride 2, odd trailing rows/cols dropped; ties resolve to
-    the lowest (row-major) window position."""
+    """2x2 window, stride 2, odd trailing rows/cols dropped. A mask per window
+    position (the quarter ``x[..., r::2, q::2]``) marks the element ``argmax``
+    would pick: the first NaN in row-major order, else the lowest position
+    holding the maximum. The output is that element's own bits, sign of zero
+    and NaN included; the gradient goes to it alone, odd trailing rows and
+    cols get +0.0."""
 
     kind = "pool"
 
@@ -131,25 +145,29 @@ class MaxPool2x2:
         return []
 
     def forward(self, x: np.ndarray):
-        *lead, h, w = x.shape
-        oh, ow = h // 2, w // 2
-        v = x[..., :2 * oh, :2 * ow].reshape(*lead, oh, 2, ow, 2)
-        v = v.swapaxes(-3, -2).reshape(*lead, oh, ow, 4)
-        idx = v.argmax(axis=-1)
-        return np.take_along_axis(v, idx[..., None], axis=-1)[..., 0], (idx, x.shape)
+        v = np.array(_quarters(x))  # C order, as dy comes to the backward
+        m = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+        hit = (v == m) | np.isnan(v)
+        for k in (1, 2, 3):
+            hit[k] &= ~hit[:k].any(axis=0)
+        out = np.negative(hit, dtype=np.int32)
+        out &= v.view(np.int32)
+        return np.bitwise_or.reduce(out).view(np.float32), (hit, x.shape)
 
     def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
         if not need_dx:
             return None, []
-        idx, x_shape = cache
-        *lead, h, w = x_shape
-        oh, ow = h // 2, w // 2
-        scattered = np.zeros((*lead, oh, ow, 4), dtype=np.float32)
-        np.put_along_axis(scattered, idx[..., None], dy[..., None], axis=-1)
+        hit, x_shape = cache
         dx = np.zeros(x_shape, dtype=np.float32)
-        dx[..., :2 * oh, :2 * ow] = (
-            scattered.reshape(*lead, oh, ow, 2, 2).swapaxes(-3, -2).reshape(*lead, 2 * oh, 2 * ow))
+        for part, h in zip(_quarters(dx.view(np.int32)), hit):
+            np.bitwise_and(dy.view(np.int32), -h.view(np.int8), out=part)
         return dx, []
+
+
+def _quarters(a: np.ndarray) -> list[np.ndarray]:
+    """Views of the four 2x2 window positions in row-major order."""
+    h, w = a.shape[-2] // 2 * 2, a.shape[-1] // 2 * 2
+    return [a[..., r:h:2, q:w:2] for r in (0, 1) for q in (0, 1)]
 
 
 class SoftmaxXent:
@@ -190,13 +208,8 @@ class Model:
         return [l for l in self.layers if l.params()]
 
     def layer_names(self) -> list[str]:
-        names = []
-        counts: dict[str, int] = {}
-        for l in self.param_layers:
-            i = counts.get(l.kind, 0)
-            counts[l.kind] = i + 1
-            names.append(f"{l.kind}{i}")
-        return names
+        kinds = [l.kind for l in self.param_layers]
+        return [f"{k}{kinds[:i].count(k)}" for i, k in enumerate(kinds)]
 
     def forward(self, x: np.ndarray, labels: np.ndarray) -> tuple[float | list[float], ForwardCache]:
         """Run a batch through the stack; returns the loss and the cache that
@@ -254,12 +267,8 @@ def split_vector(values: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
     *lead, n = values.shape
     if sum(sizes) != n:
         raise ValueError(f"vector of {n} values cannot fill shapes totalling {sum(sizes)}")
-    out = []
-    pos = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(values[..., pos:pos + size].reshape(*lead, *shape))
-        pos += size
-    return out
+    ends = np.cumsum(sizes)
+    return [values[..., e - size:e].reshape(*lead, *shape) for shape, size, e in zip(shapes, sizes, ends)]
 
 
 def build_mlp(input_dim: int, hidden: list[int], classes: int, seed: int) -> Model:

@@ -263,6 +263,126 @@ def test_every_layer_skips_its_input_gradient_on_request():
         assert [g.tobytes() for g in same] == [g.tobytes() for g in grads]
 
 
+# ------------------------------------------------------- bit-mask selects
+
+# +0.0, -0.0, +1, -1, +inf, -inf, quiet NaN with either sign bit, and a NaN
+# with a payload; drawn by bit pattern so each sign of zero and NaN survives
+SPECIALS = np.array([0x00000000, 0x80000000, 0x3F800000, 0xBF800000, 0x7F800000,
+                     0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800123], np.uint32).view(np.float32)
+
+
+def _specials(rng, shape):
+    return SPECIALS[rng.integers(0, len(SPECIALS), shape)]
+
+
+def _layouts(rng, shape):
+    """The same kind of values contiguous, strided as the conv's moveaxis
+    output (channels innermost in memory) and stacked on a rank axis."""
+    b, c, h, w = shape
+    return [_specials(rng, shape),
+            np.moveaxis(_specials(rng, (b, h, w, c)), -1, -3),
+            _specials(rng, (3, *shape))]
+
+
+def relu_reference(x, dy):
+    mask = x > 0
+    return np.where(mask, x, np.float32(0.0)), np.where(mask, dy, np.float32(0.0))
+
+
+def pool_reference(x, dy):
+    """2x2 max-pool as an argmax gather and scatter over each window's four
+    values in row-major order."""
+    *lead, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    v = x[..., :2 * oh, :2 * ow].reshape(*lead, oh, 2, ow, 2)
+    v = v.swapaxes(-3, -2).reshape(*lead, oh, ow, 4)
+    idx = v.argmax(axis=-1)
+    y = np.take_along_axis(v, idx[..., None], axis=-1)[..., 0]
+    scattered = np.zeros((*lead, oh, ow, 4), dtype=np.float32)
+    np.put_along_axis(scattered, idx[..., None], dy[..., None], axis=-1)
+    dx = np.zeros(x.shape, dtype=np.float32)
+    dx[..., :2 * oh, :2 * ow] = (
+        scattered.reshape(*lead, oh, ow, 2, 2).swapaxes(-3, -2).reshape(*lead, 2 * oh, 2 * ow))
+    return y, dx
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (4, 1, 1, 7), (5, 16, 1, 1)])
+def test_relu_matches_np_where_bitwise(shape):
+    rng = np.random.default_rng(list(shape))
+    relu = ReLU()
+    for x in [*_layouts(rng, shape), _specials(rng, (3, 4, 64))]:
+        dy = _specials(rng, x.shape)
+        y, keep = relu.forward(x)
+        dx, grads = relu.backward(dy, keep)
+        want_y, want_dx = relu_reference(x, dy)
+        assert_same_bits(y, want_y)
+        assert_same_bits(dx, want_dx)
+        assert grads == [] and relu.backward(dy, keep, need_dx=False) == (None, [])
+
+
+def test_relu_rejects_values_that_are_not_float32():
+    # the masks act on float32 bit patterns; a float64 (b, 1) input would
+    # otherwise come back as a (b, 2) float32 array
+    with pytest.raises(TypeError, match="float64"):
+        ReLU().forward(np.ones((4, 1)))
+    with pytest.raises(TypeError, match="float64"):
+        build_mlp(6, [5], 3, seed=5).forward(np.ones((4, 6)), np.zeros(4, np.int64))
+
+
+def test_maxpool_picks_what_argmax_picks():
+    pos, neg = np.float32(0.0), np.float32(-0.0)
+    nan, nan_neg = SPECIALS[6], SPECIALS[7]
+    inf = np.float32(np.inf)
+    windows = [
+        [1, 1, 1, 1],                # all equal: the first
+        [0, 2, 2, 1],                # tie on the maximum: the lower position
+        [neg, pos, pos, neg],        # -0.0 ties +0.0: the first, with its sign
+        [pos, neg, neg, neg],
+        [neg, neg, neg, neg],
+        [5, nan, 1, 2],              # a NaN after a larger value wins
+        [1, nan, nan_neg, 2],        # the first of two NaNs
+        [nan_neg, nan, 1, 1],
+        [-inf, -inf, -inf, -inf],
+        [1, inf, -inf, inf],
+        [-inf, -1, -2, -inf],
+    ]
+    v = np.array(windows, np.float32).reshape(1, len(windows), 2, 2)
+    x = np.concatenate(list(v.transpose(1, 0, 2, 3)), axis=-1)[None]  # (1, 1, 2, 2 * n)
+    dy = np.arange(1, len(windows) + 1, dtype=np.float32).reshape(1, 1, 1, -1)
+    y, cache = MaxPool2x2().forward(x)
+    dx, _ = MaxPool2x2().backward(dy, cache)
+    want_y, want_dx = pool_reference(x, dy)
+    assert_same_bits(y, want_y)
+    assert_same_bits(dx, want_dx)
+    # the gradient of each window lands on exactly one of its four positions
+    assert np.count_nonzero(dx) == len(windows)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 2, 7, 5), (1, 2, 5, 6), (3, 1, 4, 3),
+                                   (2, 2, 1, 6), (2, 2, 6, 1), (1, 1, 1, 1)])
+def test_maxpool_matches_argmax_gather_bitwise(shape):
+    rng = np.random.default_rng(list(shape))
+    pool = MaxPool2x2()
+    # draws from few values make ties, and NaN after a larger value, common
+    for x in _layouts(rng, shape):
+        y, cache = pool.forward(x)
+        dy = _specials(rng, y.shape)
+        dx, grads = pool.backward(dy, cache)
+        want_y, want_dx = pool_reference(x, dy)
+        assert_same_bits(y, want_y)
+        assert_same_bits(dx, want_dx)
+        assert grads == [] and pool.backward(dy, cache, need_dx=False) == (None, [])
+        # an odd trailing row or col gets +0.0, not -0.0
+        h, w = shape[-2:]
+        assert not dx[..., h // 2 * 2:, :].view(np.int32).any()
+        assert not dx[..., :, w // 2 * 2:].view(np.int32).any()
+
+
 # ------------------------------------------------------------- rank axis
 
 def _stack_model(kind):
