@@ -150,9 +150,8 @@ class MaxPool2x2:
         hit = (v == m) | np.isnan(v)
         for k in (1, 2, 3):
             hit[k] &= ~hit[:k].any(axis=0)
-        out = np.negative(hit, dtype=np.int32)
-        out &= v.view(np.int32)
-        return np.bitwise_or.reduce(out).view(np.float32), (hit, x.shape)
+        bits = v.view(np.int32) & -hit.view(np.int8)
+        return np.bitwise_or.reduce(bits).view(np.float32), (hit, x.shape)
 
     def backward(self, dy: np.ndarray, cache, need_dx: bool = True):
         if not need_dx:
