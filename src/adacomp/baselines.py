@@ -152,8 +152,9 @@ def onebit_pack(state: CodecState, dw: GradientVector) -> tuple[OneBitPacked, Co
     bits = g >= 0.0
     pos_scale = _seq_mean_f32(g[bits])
     neg_scale = _seq_mean_f32(g[~bits])
-    recon = np.where(bits, np.float64(pos_scale), np.float64(neg_scale))
-    new_residue = g - recon
+    # a two-entry table indexed by the sign bit: np.where over a random sign
+    # plane mispredicts a branch on every other element
+    new_residue = g - np.array([neg_scale, pos_scale], np.float64).take(bits.view(np.uint8))
     packed = OneBitPacked(dw.layer_id, int(w.size), bits, float(pos_scale), float(neg_scale))
     return packed, CodecState(residue=new_residue)
 
@@ -174,7 +175,7 @@ def unpack_topk(p: TopKPacked) -> GradientVector:
 
 
 def unpack_onebit(p: OneBitPacked) -> GradientVector:
-    out = np.where(p.bits, np.float32(p.pos_scale), np.float32(p.neg_scale)).astype(np.float32)
+    out = np.array([p.neg_scale, p.pos_scale], np.float32).take(p.bits.view(np.uint8))
     return GradientVector(p.layer_id, out)
 
 

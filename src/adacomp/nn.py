@@ -12,7 +12,11 @@ layer. Nothing reads the model's input gradient, so ``Model.backward``
 runs no layer below the lowest parameterized one and asks that one for no
 input gradient. ReLU and max-pool select by AND with bit masks on the float32
 bit patterns, never ``np.where`` or an argmax gather: a select whose branch
-follows random data mispredicts on every other element.
+follows random data mispredicts on every other element. The conv input
+gradient adds W times a zero-padded dy into dx in runs of oh*w floats: a pad
+term W·0 = ±0.0 changes no sum started from +0.0 (never -0.0) while the
+weights are finite, as ``Cluster`` checks after every update. Only the NaN
+that a sum of two NaNs keeps may differ from a slice-by-slice scatter.
 
 One code path serves one rank, (b, ...) with 1-D labels, and N ranks
 stacked on a leading axis, (N, b, ...) with (N, b) labels. Products are
@@ -85,12 +89,13 @@ class Conv5x5:
             raise ValueError("input smaller than kernel")
         windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-2, -1))
         cols = np.moveaxis(windows, -5, -3).reshape(*ranks, b * oh * ow, c * k * k)
-        out = cols @ self.weight.reshape(self.out_maps, -1).T + self.bias
+        out = cols @ self.weight.reshape(self.out_maps, -1).T
+        out += self.bias
         return np.moveaxis(out.reshape(*ranks, b, oh, ow, self.out_maps), -1, -3), (cols, x.shape)
 
     def backward(self, dy: np.ndarray, cache, need_dx: bool = True, out=None):
         cols, x_shape = cache
-        *ranks, b, c = x_shape[:-2]
+        *ranks, b, c, h, w = x_shape
         oh, ow = dy.shape[-2:]
         k = self.K
         dw, db = out or (None, None)
@@ -100,13 +105,20 @@ class Conv5x5:
         grads = [dw.reshape(*ranks, *self.weight.shape), dmat.sum(axis=-2, out=db)]
         if not need_dx:
             return None, grads
-        dcols = (dmat @ self.weight.reshape(self.out_maps, -1)).reshape(*ranks, b, oh, ow, c, k, k)
-        dcols = np.ascontiguousarray(np.moveaxis(dcols, (-5, -4), (-2, -1)))
-        dx = np.zeros(x_shape, dtype=np.float32)
+        # col2im: row (c, r, q) of W2ᵀ @ dy, dy zero-padded from ow to w, lies
+        # like dx's flat (h, w) planes and adds in at shift r*w + q, so each
+        # dx element sums its 25 terms in (r, q) order from +0.0, plus ±0.0
+        # pad terms (module docstring). A run ends q floats short: all pad.
+        n = oh * w
+        dyp = np.zeros((*ranks, self.out_maps, b, oh, w), dtype=np.float32)
+        dyp[..., :ow] = np.moveaxis(dy, -3, -4)
+        rows = (self.weight.reshape(self.out_maps, -1).T @ dyp.reshape(*ranks, self.out_maps, b * n)
+                ).reshape(*ranks, c, k, k, b, n)
+        dx = np.zeros((*ranks, b, c, h * w), dtype=np.float32)
         for r in range(k):
             for q in range(k):
-                dx[..., r:r + oh, q:q + ow] += dcols[..., r, q, :, :]
-        return dx, grads
+                dx[..., r * w + q:r * w + n] += np.swapaxes(rows[..., r, q, :, :n - q], -3, -2)
+        return dx.reshape(x_shape), grads
 
 
 class ReLU:

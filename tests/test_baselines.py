@@ -267,6 +267,35 @@ def test_onebit_matches_reference(case):
     np.testing.assert_array_equal(new_state.residue, ref_res)
 
 
+@pytest.mark.parametrize("pos, neg", [(0.75, -1.5), (0.0, -0.0), (-0.0, 0.0), (-0.0, -2.0),
+                                      (3.0, 0.0), (float("inf"), float("-inf"))])
+def test_onebit_unpack_matches_np_where_bitwise(pos, neg):
+    rng = np.random.default_rng(41)
+    for bits in (rng.random(1000) < 0.5, np.ones(7, bool), np.zeros(7, bool)):
+        p = baselines.OneBitPacked(3, bits.size, bits, pos, neg)
+        want = np.where(bits, np.float32(pos), np.float32(neg)).astype(np.float32)
+        got = unpack_onebit(p)
+        assert got.layer_id == 3 and got.values.dtype == np.float32
+        assert got.values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("residue, scales", [
+    (np.random.default_rng(43).standard_normal(1000), None),
+    (np.array([-0.0, -0.0, -1.0, -3.0]), (-0.0, -2.0)),
+    (np.array([-0.0, 0.0, 2.0]), (2 / 3, 0.0)),    # no negatives
+    (np.array([-0.0, -0.0]), (-0.0, 0.0)),
+    (np.array([-1.0, -2.0]), (0.0, -1.5))])       # no non-negatives
+def test_onebit_residue_matches_np_where_bitwise(residue, scales):
+    # a -0.0 gradient keeps a -0.0 residue's sign in G
+    dw = np.full(residue.size, -0.0, np.float32)
+    packed, new_state = onebit_pack(state_of(residue), GradientVector(0, dw))
+    if scales is not None:
+        assert np.float32([packed.pos_scale, packed.neg_scale]).tobytes() == np.float32(scales).tobytes()
+    recon = np.where(packed.bits, np.float64(np.float32(packed.pos_scale)),
+                     np.float64(np.float32(packed.neg_scale)))
+    assert new_state.residue.tobytes() == (residue + dw.astype(np.float64) - recon).tobytes()
+
+
 # ------------------------------------------------------- shared invariants
 
 @given(codec_cases())

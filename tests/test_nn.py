@@ -383,6 +383,77 @@ def test_maxpool_matches_argmax_gather_bitwise(shape):
         assert not dx[..., :, w // 2 * 2:].view(np.int32).any()
 
 
+# ------------------------------------------------------------- col2im
+
+def col2im_reference(conv, dy, x_shape):
+    """The conv input gradient as 25 adds of (r, q) slices of the im2col
+    product's transpose, each dx element summing its terms in (r, q) order
+    from +0.0."""
+    *ranks, b, c, h, w = x_shape
+    oh, ow = dy.shape[-2:]
+    k = conv.K
+    dmat = np.moveaxis(dy, -3, -1).reshape(*ranks, b * oh * ow, conv.out_maps)
+    dcols = (dmat @ conv.weight.reshape(conv.out_maps, -1)).reshape(*ranks, b, oh, ow, c, k, k)
+    dcols = np.ascontiguousarray(np.moveaxis(dcols, (-5, -4), (-2, -1)))
+    dx = np.zeros(x_shape, dtype=np.float32)
+    for r in range(k):
+        for q in range(k):
+            dx[..., r:r + oh, q:q + ow] += dcols[..., r, q, :, :]
+    return dx
+
+
+# +-0.0, +-inf, NaN with either sign bit or a payload, and subnormals of
+# either sign, the smallest among them
+COL2IM_SPECIALS = np.concatenate([SPECIALS, np.array(
+    [0x00000001, 0x80000001, 0x007FFFFF, 0x80400000], np.uint32).view(np.float32)])
+
+
+def _col2im_dy(rng, shape, special_share):
+    """Normal values, with a share of them replaced by COL2IM_SPECIALS;
+    alternately C order and the conv forward's channels-innermost layout."""
+    dy = rng.standard_normal(shape).astype(np.float32)
+    hit = rng.random(shape) < special_share
+    dy[hit] = COL2IM_SPECIALS[rng.integers(0, len(COL2IM_SPECIALS), hit.sum())]
+    return [dy, np.moveaxis(np.ascontiguousarray(np.moveaxis(dy, -3, -1)), -1, -3)]
+
+
+def assert_same_bits_but_nan_payloads(got, want):
+    """Bitwise equal, except that a NaN may carry another NaN's bits: where
+    two NaNs meet in an add, numpy's float32 loop keeps the first or the
+    second by where the element falls in its vector body or tail, so the
+    bits a NaN sum ends with depend on run length, not on the arithmetic."""
+    nan = np.isnan(want)
+    assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("x_shape, out_maps", [
+    ((3, 3, 13, 9), 4), ((1, 3, 9, 13), 4), ((3, 1, 6, 11), 2), ((2, 8, 12, 12), 16),
+    ((1, 2, 5, 5), 3), ((2, 1, 5, 7), 1), ((3, 2, 3, 9, 10), 4), ((2, 1, 4, 8, 8), 5)])
+def test_conv_input_gradient_matches_slice_scatter_bitwise(x_shape, out_maps):
+    rng = np.random.default_rng([*x_shape, out_maps])
+    c = x_shape[-3]
+    conv = Conv5x5(c, out_maps, rng)
+    conv.weight.flat[rng.random(conv.weight.size) < 0.1] = 0.0
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    y, cache = conv.forward(x)
+    for share in (0.0, 0.02, 0.5):
+        for dy in _col2im_dy(rng, y.shape, share):
+            dx, grads = conv.backward(dy, cache)
+            assert dx.flags.c_contiguous
+            assert_same_bits_but_nan_payloads(dx, col2im_reference(conv, dy, x_shape))
+    # one NaN pattern and no infinity: no two NaNs differ, so every bit holds
+    payload = np.array([0x7FC00123], np.uint32).view(np.float32)[0]
+    dy = rng.standard_normal(y.shape).astype(np.float32)
+    dy[rng.random(y.shape) < 0.05] = payload
+    assert_same_bits(conv.backward(dy, cache)[0], col2im_reference(conv, dy, x_shape))
+    # an all -0.0 dy gives +0.0 everywhere, as the slice adds from +0.0 do
+    dx = conv.backward(np.full(y.shape, -0.0, dtype=np.float32), cache)[0]
+    assert dx.flags.c_contiguous and dx.shape == x_shape and not dx.view(np.int32).any()
+
+
 # ------------------------------------------------------------- rank axis
 
 def _stack_model(kind):
