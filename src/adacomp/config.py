@@ -103,9 +103,9 @@ def _validate_dataset(spec, path="dataset") -> dict:
     kind = spec["kind"]
     if kind == "gaussians":
         _check_keys(spec, path, {"kind", "classes", "dim", "train", "test"}, {"separation"})
-        return {"kind": kind,
-                "classes": _as_int(spec, path, "classes", minimum=2),
-                "dim": _as_int(spec, path, "dim", minimum=2),
+        classes = _as_int(spec, path, "classes", minimum=2)
+        return {"kind": kind, "classes": classes,
+                "dim": _as_int(spec, path, "dim", minimum=classes),
                 "train": _as_int(spec, path, "train", minimum=1),
                 "test": _as_int(spec, path, "test", minimum=1),
                 "separation": _as_number(spec, path, "separation", default=4.0, minimum=0.0)}
@@ -116,7 +116,7 @@ def _validate_dataset(spec, path="dataset") -> dict:
                 "test": _as_int(spec, path, "test", minimum=1),
                 "noise": _as_number(spec, path, "noise", default=0.35, minimum=0.0),
                 "shift": _as_int(spec, path, "shift", default=2, minimum=0),
-                "task_seed": _as_int(spec, path, "task_seed", default=7)}
+                "task_seed": _as_int(spec, path, "task_seed", default=7, minimum=0)}
     if kind == "idx":
         _check_keys(spec, path, {"kind", "train_images", "train_labels",
                                  "test_images", "test_labels"}, {"classes", "center"})
@@ -222,7 +222,7 @@ class ExperimentConfig:
             raise ConfigError("config.minibatch",
                               f"{minibatch} is not divisible by {learners} learners")
         epochs = _as_int(raw, "config", "epochs", minimum=1)
-        seed = _as_int(raw, "config", "seed")
+        seed = _as_int(raw, "config", "seed", minimum=0)
 
         hist = raw.get("rg_histogram_epochs", [])
         if not isinstance(hist, list) or not all(isinstance(e, int) and e >= 1 for e in hist):

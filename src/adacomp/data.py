@@ -109,16 +109,20 @@ def synth_digits(n: int, seed: int, noise: float = 0.35, shift: int = 2,
     protos = np.stack([_digit_prototype(task_seed, c) for c in range(10)])
     rng = np.random.default_rng([seed, 0 if split == "train" else 1])
     labels = rng.integers(0, 10, size=n, endpoint=False).astype(np.int64)
-    images = protos[labels]
+    dy = dx = np.zeros(n, np.int64)
     if shift:
         dy = rng.integers(-shift, shift, size=n, endpoint=True)
         dx = rng.integers(-shift, shift, size=n, endpoint=True)
-        images = np.stack([np.roll(img, (r, c), axis=(0, 1))
-                           for img, r, c in zip(images, dy, dx)])
-    images = images + noise * rng.standard_normal(images.shape)
-    u8 = np.clip(images * 255.0, 0, 255).astype(np.uint8)
-    return Dataset((u8.astype(np.float32) / np.float32(255.0)).reshape(n, 1, 28, 28),
-                   labels, split, num_classes=10)
+    # np.roll's rule: pixel i of a shifted image is pixel (i - shift) mod 28
+    rows = (np.arange(28) - dy[:, None]) % 28
+    cols = (np.arange(28) - dx[:, None]) % 28
+    # (image + noise * normals) * 255 in the normals' buffer: IEEE + and * commute
+    z = rng.standard_normal((n, 28, 28))
+    z *= noise
+    z += protos[labels[:, None, None], rows[:, :, None], cols[:, None, :]]
+    z *= 255.0
+    x = np.clip(z, 0, 255, out=z).astype(np.uint8) / np.float32(255.0)
+    return Dataset(x.reshape(n, 1, 28, 28), labels, split, num_classes=10)
 
 
 def _digit_prototype(task_seed: int, cls: int) -> np.ndarray:

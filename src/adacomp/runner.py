@@ -20,17 +20,13 @@ from .wire import effective_compression_rate
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     spec = cfg.dataset
     if spec["kind"] == "gaussians":
-        train = synth_gaussians(spec["classes"], spec["dim"], spec["train"], cfg.seed,
-                                separation=spec["separation"], split="train")
-        test = synth_gaussians(spec["classes"], spec["dim"], spec["test"], cfg.seed,
-                               separation=spec["separation"], split="test")
-        return train, test
+        return tuple(synth_gaussians(spec["classes"], spec["dim"], spec[split], cfg.seed,
+                                     separation=spec["separation"], split=split)
+                     for split in ("train", "test"))
     if spec["kind"] == "digits":
-        train = synth_digits(spec["train"], cfg.seed, noise=spec["noise"],
-                             shift=spec["shift"], split="train", task_seed=spec["task_seed"])
-        test = synth_digits(spec["test"], cfg.seed, noise=spec["noise"],
-                            shift=spec["shift"], split="test", task_seed=spec["task_seed"])
-        return train, test
+        return tuple(synth_digits(spec[split], cfg.seed, noise=spec["noise"], shift=spec["shift"],
+                                  split=split, task_seed=spec["task_seed"])
+                     for split in ("train", "test"))
     if spec["kind"] == "idx":
         train = load_idx(spec["train_images"], spec["train_labels"], "train", spec["classes"])
         test = load_idx(spec["test_images"], spec["test_labels"], "test", spec["classes"])

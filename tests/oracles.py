@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 from adacomp.codec import CodecState, PackedLayer
+from adacomp.data import Dataset, _digit_prototype
 from adacomp.nn import serialize_grad
 from adacomp.sim import make_codec, shard, to_dense
 
@@ -300,3 +301,21 @@ def full_backward_reference(model, cache) -> tuple[np.ndarray, list]:
         if g:
             grads.append(g)
     return dy, grads[::-1]
+
+
+def synth_digits_reference(n, seed, noise=0.35, shift=2, split="train", task_seed=7):
+    """``synth_digits`` as a per-image ``np.roll`` loop over a stack of
+    prototype copies, with the noise added out of place."""
+    protos = np.stack([_digit_prototype(task_seed, c) for c in range(10)])
+    rng = np.random.default_rng([seed, 0 if split == "train" else 1])
+    labels = rng.integers(0, 10, size=n, endpoint=False).astype(np.int64)
+    images = protos[labels]
+    if shift:
+        dy = rng.integers(-shift, shift, size=n, endpoint=True)
+        dx = rng.integers(-shift, shift, size=n, endpoint=True)
+        images = np.stack([np.roll(img, (r, c), axis=(0, 1))
+                           for img, r, c in zip(images, dy, dx)])
+    images = images + noise * rng.standard_normal(images.shape)
+    u8 = np.clip(images * 255.0, 0, 255).astype(np.uint8)
+    return Dataset((u8.astype(np.float32) / np.float32(255.0)).reshape(n, 1, 28, 28),
+                   labels, split, num_classes=10)

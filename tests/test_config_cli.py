@@ -294,6 +294,23 @@ def test_cli_adam_beta_of_one_exits_2(tmp_path, capsys, beta):
     assert capsys.readouterr().err.startswith(f"error: config error at optimizer.{beta}: ")
 
 
+@pytest.mark.parametrize("cfg, field", [
+    (base_config(seed=-1), "config.seed"),
+    (cnn_config(dataset={"kind": "digits", "train": 64, "test": 32, "task_seed": -3}),
+     "dataset.task_seed"),
+    (base_config(model={"kind": "mlp", "input_dim": 3, "hidden": [8], "classes": 4},
+                 dataset={"kind": "gaussians", "classes": 4, "dim": 3, "train": 128, "test": 64}),
+     "dataset.dim"),
+], ids=["negative_seed", "negative_task_seed", "gaussians_dim_below_classes"])
+def test_cli_config_the_generators_reject_exits_2(tmp_path, capsys, cfg, field):
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {field}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sweep(tmp_path):
     cfg = base_config(codec={"fc": {"kind": "adacomp", "bin_size": 8}})
     path = write_config(tmp_path, cfg)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from adacomp.data import (
     synth_gaussians,
     write_idx,
 )
+from oracles import synth_digits_reference
 
 
 def build_idx_pair(tmp_path, images_magic=0x803, labels_magic=0x801, truncate_images=0,
@@ -111,6 +113,36 @@ def test_digits_shapes_and_determinism():
     assert set(np.unique(a.labels)) <= set(range(10))
     t = synth_digits(32, seed=4, split="test")
     assert not np.array_equal(a.features, t.features)
+
+
+DIGIT_DRAWS = [
+    *({"n": 2048, "seed": seed, "split": split} for seed in (3, 7, 11) for split in ("train", "test")),
+    *({"n": n, "seed": seed, "shift": shift, "noise": noise}
+      for n, seed in ((1, 3), (97, 11)) for shift in (0, 1, 2, 30) for noise in (0.0, 0.35)),
+    {"n": 300, "seed": 7, "split": "test", "task_seed": 123},
+]
+
+
+@pytest.mark.parametrize("kwargs", DIGIT_DRAWS, ids=lambda kw: "-".join(f"{k}{v}" for k, v in kw.items()))
+def test_digits_match_roll_reference_bitwise(kwargs):
+    got, want = synth_digits(**kwargs), synth_digits_reference(**kwargs)
+    assert got.features.dtype == want.features.dtype and got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_digits_heap_peak_of_a_cnn_training_set():
+    # the per-image np.roll loop and its float64 temporaries peaked at 37.5 MiB;
+    # the first call also allocates numpy's one-off caches, so warm up first
+    synth_digits(1, 7)
+    tracemalloc.start()
+    try:
+        synth_digits(2048, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27 * 2**20
 
 
 def test_digits_idx_materialization_roundtrip(tmp_path):
