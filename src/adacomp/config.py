@@ -7,6 +7,7 @@ typos fail fast instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -35,9 +36,13 @@ def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = fro
             raise ConfigError(f"{path}.{k}", "missing required key")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _as_int(d: dict, path: str, key: str, default=None, minimum=None, maximum=None) -> int:
     v = d.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {v}")
@@ -46,15 +51,21 @@ def _as_int(d: dict, path: str, key: str, default=None, minimum=None, maximum=No
     return v
 
 
-def _as_number(d: dict, path: str, key: str, default=None, minimum=None, maximum=None) -> float:
+def _as_number(d: dict, path: str, key: str, default=None, minimum=None, maximum=None,
+               above=None, below=None) -> float:
+    """A finite number; minimum and maximum are inclusive bounds, above and below exclusive."""
     v = d.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {v!r}")
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
     v = float(v)
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
         raise ConfigError(f"{path}.{key}", f"must be <= {maximum}, got {v}")
+    if above is not None and v <= above:
+        raise ConfigError(f"{path}.{key}", f"must be > {above}, got {v}")
+    if below is not None and v >= below:
+        raise ConfigError(f"{path}.{key}", f"must be < {below}, got {v}")
     return v
 
 
@@ -65,7 +76,7 @@ def _validate_model(spec, path="model") -> dict:
     if kind == "mlp":
         _check_keys(spec, path, {"kind", "input_dim", "hidden", "classes"})
         hidden = spec["hidden"]
-        if not isinstance(hidden, list) or not all(isinstance(h, int) and h > 0 for h in hidden):
+        if not isinstance(hidden, list) or not all(_is_int(h) and h > 0 for h in hidden):
             raise ConfigError(f"{path}.hidden", "expected a list of positive integers")
         return {"kind": "mlp",
                 "input_dim": _as_int(spec, path, "input_dim", minimum=1),
@@ -75,10 +86,10 @@ def _validate_model(spec, path="model") -> dict:
         _check_keys(spec, path, {"kind", "in_maps", "conv_maps", "fc_hidden", "classes"},
                     {"image_hw"})
         conv_maps = spec["conv_maps"]
-        if not isinstance(conv_maps, list) or not all(isinstance(m, int) and m > 0 for m in conv_maps):
+        if not isinstance(conv_maps, list) or not all(_is_int(m) and m > 0 for m in conv_maps):
             raise ConfigError(f"{path}.conv_maps", "expected a list of positive integers")
         hw = spec.get("image_hw", [28, 28])
-        if not (isinstance(hw, list) and len(hw) == 2 and all(isinstance(v, int) for v in hw)):
+        if not (isinstance(hw, list) and len(hw) == 2 and all(map(_is_int, hw))):
             raise ConfigError(f"{path}.image_hw", "expected [height, width]")
         # every 5x5 conv and 2x2 pool block needs at least 6 rows and columns
         side = 1
@@ -154,10 +165,7 @@ def _validate_codec(entry, layer_kind: str) -> dict:
                                     minimum=1, maximum=MAX_BIN_SIZE)}
     if kind == "topk":
         _check_keys(entry, path, {"kind", "fraction"})
-        f = _as_number(entry, path, "fraction", minimum=0.0, maximum=1.0)
-        if f <= 0.0:
-            raise ConfigError(f"{path}.fraction", "must be in (0, 1]")
-        return {"kind": kind, "fraction": f}
+        return {"kind": kind, "fraction": _as_number(entry, path, "fraction", above=0.0, maximum=1.0)}
     if kind in ("onebit", "identity"):
         _check_keys(entry, path, {"kind"})
         return {"kind": kind}
@@ -195,15 +203,13 @@ class ExperimentConfig:
                                                 minimum=0.0, maximum=1.0)}
         elif opt["kind"] == "adam":
             _check_keys(opt, "optimizer", {"kind", "lr"}, {"beta1", "beta2", "eps"})
+            # a beta of 1 makes the bias correction 1 - beta**t 0 at every step, and an eps
+            # of 0 gives 0/0 wherever a gradient element and its second moment are both 0
             optimizer = {"kind": "adam",
                          "lr": _as_number(opt, "optimizer", "lr", minimum=0.0),
-                         "beta1": _as_number(opt, "optimizer", "beta1", default=0.9, minimum=0.0, maximum=1.0),
-                         "beta2": _as_number(opt, "optimizer", "beta2", default=0.999, minimum=0.0, maximum=1.0),
-                         "eps": _as_number(opt, "optimizer", "eps", default=1e-8, minimum=0.0)}
-            for beta in ("beta1", "beta2"):
-                # the bias correction 1 - beta**t would be 0 at every step
-                if optimizer[beta] == 1.0:
-                    raise ConfigError(f"optimizer.{beta}", "must be below 1, got 1.0")
+                         "beta1": _as_number(opt, "optimizer", "beta1", default=0.9, minimum=0.0, below=1.0),
+                         "beta2": _as_number(opt, "optimizer", "beta2", default=0.999, minimum=0.0, below=1.0),
+                         "eps": _as_number(opt, "optimizer", "eps", default=1e-8, above=0.0)}
         else:
             raise ConfigError("optimizer.kind", f"unknown optimizer kind {opt['kind']!r}")
 
@@ -225,8 +231,11 @@ class ExperimentConfig:
         seed = _as_int(raw, "config", "seed", minimum=0)
 
         hist = raw.get("rg_histogram_epochs", [])
-        if not isinstance(hist, list) or not all(isinstance(e, int) and e >= 1 for e in hist):
+        if not isinstance(hist, list) or not all(_is_int(e) and e >= 1 for e in hist):
             raise ConfigError("config.rg_histogram_epochs", "expected a list of epoch numbers")
+        if hist and max(hist) > epochs:
+            raise ConfigError("config.rg_histogram_epochs",
+                              f"epoch {max(hist)} is beyond the last epoch, {epochs}")
 
         return cls(model=model, dataset=dataset, optimizer=optimizer, learners=learners,
                    minibatch=minibatch, epochs=epochs, seed=seed, codec=codec,

@@ -18,20 +18,18 @@ term W·0 = ±0.0 changes no sum started from +0.0 (never -0.0) while the
 weights are finite, as ``Cluster`` checks after every update. Only the NaN
 that a sum of two NaNs keeps may differ from a slice-by-slice scatter.
 
-One code path serves one rank, (b, ...) with 1-D labels, and N ranks
-stacked on a leading axis, (N, b, ...) with (N, b) labels. Products are
-stacked ``np.matmul`` calls, one 2-D product per rank, so each rank gets the
-bits its own batch gives; one product over all ranks would round otherwise.
+A model takes N ranks stacked on a leading axis, (N, b, ...) with (N, b)
+labels, one rank being N = 1; it returns N losses and, per parameterized
+layer, an (N, size) gradient matrix whose row r is rank r's serialized
+gradient. Products are stacked ``np.matmul`` calls, one 2-D product per rank,
+so each rank gets the bits its own batch gives; one product over all ranks
+would round otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .codec import GradientVector
-
-# per parameterized layer: [dW, db] float32 arrays
-ModelGradients = list[list[np.ndarray]]
 # what Model.backward needs of one batch: (per-layer caches, probs, labels)
 ForwardCache = tuple[list, np.ndarray, np.ndarray]
 
@@ -52,9 +50,9 @@ class FullyConnected:
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray, lead: int = 1):
-        # the first ``lead`` axes are (b,) or (N, b); the rest are flattened
-        flat = x.reshape(*x.shape[:lead], -1)
+    def forward(self, x: np.ndarray):
+        # the (N, b) axes stay; the rest are flattened
+        flat = x.reshape(*x.shape[:2], -1)
         return flat @ self.weight.T + self.bias, (flat, x.shape)
 
     def backward(self, dy: np.ndarray, cache, need_dx: bool = True, out=None):
@@ -222,58 +220,47 @@ class Model:
         kinds = [l.kind for l in self.param_layers]
         return [f"{k}{kinds[:i].count(k)}" for i, k in enumerate(kinds)]
 
-    def forward(self, x: np.ndarray, labels: np.ndarray) -> tuple[float | list[float], ForwardCache]:
-        """Run a batch through the stack; returns the loss and the cache that
-        backward() takes. The loss is the batch mean for 1-D ``labels``, and
-        a list of N means, one per rank's b samples, for (N, b) labels."""
-        lead = labels.ndim
+    def forward(self, x: np.ndarray, labels: np.ndarray) -> tuple[list[float], ForwardCache]:
+        """Run N stacked batches, (N, b, ...) with (N, b) labels, through the
+        stack; returns the N mean losses, one per rank's b samples, and the
+        cache that backward() takes."""
         caches = []
         for l in self.layers:
-            x, cache = l.forward(x, lead) if l.kind == "fc" else l.forward(x)
+            x, cache = l.forward(x)
             caches.append(cache)
         loss, probs = self.head.loss(x, labels)
-        return (loss.tolist() if lead == 2 else float(loss)), (caches, probs, labels)
+        return loss.tolist(), (caches, probs, labels)
 
-    def backward(self, cache: ForwardCache) -> ModelGradients | list[np.ndarray]:
-        """Gradients of the mean batch loss for every parameterized layer,
-        from the cache of that batch's forward(); no input gradient. One rank
-        gets [weight, bias] per layer, N ranks one (N, size) float32 matrix
-        per layer that the layer writes into, row r in rank r's serialized layout."""
+    def backward(self, cache: ForwardCache) -> list[np.ndarray]:
+        """Gradients of each rank's mean batch loss for every parameterized
+        layer, from the cache of that batch's forward(); no input gradient.
+        One (N, size) float32 matrix per layer, which the layer writes into:
+        row r is rank r's weight gradient in row-major order, bias last."""
         caches, probs, labels = cache
         dy = self.head.backward(probs, labels)
         lowest = min((i for i, l in enumerate(self.layers) if l.params()), default=len(self.layers))
-        grads, rows = [], []
+        rows = []
         for i in range(len(self.layers) - 1, lowest - 1, -1):
             layer, into = self.layers[i], {}
-            if labels.ndim == 2 and layer.params():
+            if layer.params():
                 shapes = [p.shape for p in layer.params()]
                 rows.append(np.empty((len(labels), sum(map(np.prod, shapes))), dtype=np.float32))
                 into["out"] = split_vector(rows[-1], shapes)
-            dy, g = layer.backward(dy, caches[i], need_dx=i > lowest, **into)
-            if g:
-                grads.append(g)
-        return (rows if labels.ndim == 2 else grads)[::-1]
+            dy = layer.backward(dy, caches[i], need_dx=i > lowest, **into)[0]
+        return rows[::-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class of each sample of one batch; no layer's cache is kept."""
+        """Class of each sample of one (b, ...) batch, run as a stack of one
+        rank; no layer's cache is kept."""
+        x = x[None]
         for l in self.layers:
             x = l.forward(x)[0]
-        return x.argmax(axis=-1)
-
-
-def serialize_grad(grads: ModelGradients) -> list[GradientVector]:
-    """Flatten each layer's gradients to one vector: parameters in row-major
-    order, bias last."""
-    out = []
-    for layer_id, parts in enumerate(grads):
-        flat = np.concatenate([p.reshape(-1) for p in parts]).astype(np.float32)
-        out.append(GradientVector(layer_id, flat))
-    return out
+        return x.argmax(axis=-1)[0]
 
 
 def split_vector(values: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
-    """Inverse of the per-layer flattening: cut a vector, or each row of a
-    matrix, back into views of the given shapes."""
+    """Cut a vector, or each row of a matrix, in a layer's serialized layout
+    back into views of the given shapes."""
     sizes = [int(np.prod(s)) for s in shapes]
     *lead, n = values.shape
     if sum(sizes) != n:

@@ -14,9 +14,8 @@ import struct
 
 import numpy as np
 
-from adacomp.codec import CodecState, PackedLayer
+from adacomp.codec import CodecState, GradientVector, PackedLayer
 from adacomp.data import Dataset, _digit_prototype
-from adacomp.nn import serialize_grad
 from adacomp.sim import make_codec, shard, to_dense
 
 
@@ -190,9 +189,10 @@ class ReplicaReference:
     """N data-parallel learners as a real job runs them: each rank keeps its
     own model replica, optimizer and residues, computes on its own replica,
     and unpacks and averages all N packs of a layer itself, in rank order in
-    float32, before its own optimizer update. Takes the same arguments as
-    ``Cluster``; the nn engine, the codecs and the sharding are the
-    production ones, checked by their own tests."""
+    float32, before its own optimizer update. Each replica runs its batch
+    through the rank-stacked engine as a stack of one rank. Takes the same
+    arguments as ``Cluster``; the nn engine, the codecs and the sharding are
+    the production ones, checked by their own tests."""
 
     def __init__(self, build_model, train, codec_by_kind, make_opt, num_learners,
                  global_minibatch, seed):
@@ -214,11 +214,12 @@ class ReplicaReference:
         b = self.local_batch
         losses, all_packs = [], []
         for rank, model in enumerate(self.models):
-            idx = streams[rank][t * b:(t + 1) * b]
-            loss, cache = model.forward(self.train.features[idx], self.train.labels[idx])
+            idx = streams[rank][None, t * b:(t + 1) * b]
+            (loss,), cache = model.forward(self.train.features[idx], self.train.labels[idx])
             packs = []
-            for li, gv in enumerate(serialize_grad(model.backward(cache))):
-                packed, self.states[rank][li] = self.codecs[li](self.states[rank][li], gv)
+            for li, row in enumerate(model.backward(cache)):
+                packed, self.states[rank][li] = self.codecs[li](self.states[rank][li],
+                                                                GradientVector(li, row[0]))
                 packs.append(packed)
             losses.append(loss)
             all_packs.append(packs)

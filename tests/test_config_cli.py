@@ -125,7 +125,7 @@ def test_replace_preserves_unrelated_fields():
     {"optimizer": {"kind": "adam", "lr": 0.01}},
     {"codec": {"conv": {"kind": "adacomp"}, "fc": {"kind": "ls", "bin_size": 16}}},
     {"codec": {"conv": {"kind": "topk", "fraction": 0.1}, "fc": {"kind": "onebit"}}},
-    {"rg_histogram_epochs": [1, 3]},
+    {"rg_histogram_epochs": [1, 3], "epochs": 3},
 ], ids=["mlp_gaussians_sgd_identity", "default_codec", "cnn", "digits", "idx", "adam",
         "adacomp_ls", "topk_onebit", "histogram"])
 def test_from_dict_reads_back_its_own_fields(overrides):
@@ -307,6 +307,55 @@ def test_cli_config_the_generators_reject_exits_2(tmp_path, capsys, cfg, field):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config error at {field}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (base_config(codec={"fc": {"kind": "adacomp", "scale_factor": NAN}}), "codec.fc.scale_factor"),
+    (base_config(codec={"fc": {"kind": "topk", "fraction": NAN}}), "codec.fc.fraction"),
+    (base_config(optimizer={"kind": "sgd", "lr": NAN}), "optimizer.lr"),
+    (base_config(optimizer={"kind": "sgd", "lr": INF}), "optimizer.lr"),
+    (base_config(optimizer={"kind": "sgd", "lr": 0.1, "momentum": NAN}), "optimizer.momentum"),
+    (base_config(optimizer={"kind": "adam", "lr": 0.01, "beta1": NAN}), "optimizer.beta1"),
+    (base_config(optimizer={"kind": "adam", "lr": 0.01, "eps": INF}), "optimizer.eps"),
+    (base_config(dataset={"kind": "gaussians", "classes": 4, "dim": 16, "train": 128,
+                          "test": 64, "separation": NAN}), "dataset.separation"),
+    (cnn_config(dataset={"kind": "digits", "train": 64, "test": 32, "noise": NAN}),
+     "dataset.noise"),
+], ids=["scale_factor_nan", "topk_fraction_nan", "lr_nan", "lr_inf", "momentum_nan",
+        "adam_beta1_nan", "adam_eps_inf", "separation_nan", "digits_noise_nan"])
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, cfg, field):
+    # json writes and reads the NaN and Infinity literals
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {field}: expected a finite number")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg, field, message", [
+    (base_config(model={"kind": "mlp", "input_dim": 16, "hidden": [True], "classes": 4}),
+     "model.hidden", "expected a list of positive integers"),
+    (cnn_config(conv_maps=[True]), "model.conv_maps", "expected a list of positive integers"),
+    (cnn_config(conv_maps=[], image_hw=[28, True]), "model.image_hw", "expected [height, width]"),
+    (base_config(rg_histogram_epochs=[True]), "config.rg_histogram_epochs",
+     "expected a list of epoch numbers"),
+    (base_config(rg_histogram_epochs=[5]), "config.rg_histogram_epochs",
+     "epoch 5 is beyond the last epoch, 1"),
+    (base_config(optimizer={"kind": "adam", "lr": 0.01, "eps": 0}), "optimizer.eps",
+     "must be > 0"),
+], ids=["hidden_bool", "conv_maps_bool", "image_hw_bool", "hist_epoch_bool",
+        "hist_epoch_beyond_epochs", "adam_eps_zero"])
+def test_cli_list_entry_or_eps_the_run_cannot_use_exits_2(tmp_path, capsys, cfg, field, message):
+    # a bool is an int to isinstance, but never a size or an epoch number
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {field}: {message}")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -12,6 +12,7 @@ from adacomp.data import (
     synth_gaussians,
     write_idx,
 )
+import one_rank
 from oracles import synth_digits_reference
 
 
@@ -96,8 +97,8 @@ def test_gaussians_linearly_separable_at_4_sigma():
     model = build_mlp(12, [], 3, seed=0)  # plain linear softmax
     opt = SGDMomentum(lr=0.2)
     for _ in range(120):
-        _, cache = model.forward(ds.features, ds.labels)
-        grads = model.backward(cache)
+        _, cache = one_rank.forward(model, ds.features, ds.labels)
+        grads = one_rank.backward(model, cache)
         params = [p for l in model.param_layers for p in l.params()]
         opt.update(params, [g for parts in grads for g in parts])
     acc = float((model.predict(ds.features) == ds.labels).mean())

@@ -9,10 +9,10 @@ from adacomp.nn import (
     ReLU,
     build_cnn,
     build_mlp,
-    serialize_grad,
     split_vector,
 )
 
+import one_rank
 from oracles import finite_difference_grads, full_backward_reference, im2col_reference
 
 
@@ -24,14 +24,14 @@ def rel_err(a, b):
 def check_against_fd(model, x, y, eps=1e-3, tol=1e-2):
     """Backprop gradients must match central differences coordinate-wise;
     flat coordinates (both sides zero) compare absolutely."""
-    loss, cache = model.forward(x, y)
+    loss, cache = one_rank.forward(model, x, y)
     assert np.isfinite(loss)
-    grads = model.backward(cache)
+    grads = one_rank.backward(model, cache)
     analytic = [g for parts in grads for g in parts]
     params = [p for layer in model.param_layers for p in layer.params()]
 
     def loss_fn():
-        l, _ = model.forward(x, y)
+        l, _ = one_rank.forward(model, x, y)
         return l
 
     fd = finite_difference_grads(loss_fn, params, eps=eps)
@@ -46,7 +46,7 @@ def test_fc_identity_forward():
     fc = FullyConnected(3, 3, rng)
     fc.weight = np.eye(3, dtype=np.float32)
     fc.bias[:] = 0
-    x = np.array([[1.0, -2.0, 3.0]], np.float32)
+    x = np.array([[[1.0, -2.0, 3.0]]], np.float32)  # (N, b, features)
     out, _ = fc.forward(x)
     np.testing.assert_array_equal(out, x)
 
@@ -62,7 +62,7 @@ def test_fixed_seed_mlp_regression_value():
     rng = np.random.default_rng(99)
     x = rng.uniform(-1, 1, (4, 6)).astype(np.float32)
     y = np.array([0, 1, 2, 0])
-    loss, _ = model.forward(x, y)
+    loss, _ = one_rank.forward(model, x, y)
 
     # independent scalar recomputation in float64
     w0, b0 = model.layers[0].weight, model.layers[0].bias
@@ -81,7 +81,7 @@ def test_fixed_seed_mlp_regression_value():
 def test_forward_shape_mismatch():
     model = build_mlp(6, [4], 3, seed=0)
     with pytest.raises(ValueError):
-        model.forward(np.zeros((2, 5), np.float32), np.array([0, 1]))
+        one_rank.forward(model, np.zeros((2, 5), np.float32), np.array([0, 1]))
 
 
 # ----------------------------------------------------------------- backward
@@ -93,8 +93,8 @@ def test_zero_input_zero_weight_fc_has_zero_weight_gradient():
     model = Model([fc], classes=2)
     x = np.zeros((3, 4), np.float32)
     y = np.array([0, 1, 0])
-    _, cache = model.forward(x, y)
-    grads = model.backward(cache)
+    _, cache = one_rank.forward(model, x, y)
+    grads = one_rank.backward(model, cache)
     np.testing.assert_array_equal(grads[0][0], np.zeros((2, 4), np.float32))
 
 
@@ -103,9 +103,9 @@ def test_final_bias_gradient_equals_mean_softmax_minus_onehot():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, (8, 5)).astype(np.float32)
     y = rng.integers(0, 3, 8)
-    _, cache = model.forward(x, y)
-    probs = cache[1].copy()
-    grads = model.backward(cache)
+    _, cache = one_rank.forward(model, x, y)
+    probs = cache[1][0].copy()
+    grads = one_rank.backward(model, cache)
     onehot = np.zeros_like(probs)
     onehot[np.arange(8), y] = 1
     np.testing.assert_allclose(grads[-1][1], (probs - onehot).mean(axis=0), rtol=1e-5)
@@ -186,11 +186,11 @@ def test_interleaved_batches_keep_their_own_caches():
     model = Model([Conv5x5(1, 2, rng), ReLU(), MaxPool2x2(), FullyConnected(8, 3, rng)], classes=3)
     xa, xb = rng.uniform(-1, 1, (2, 4, 1, 9, 9)).astype(np.float32)
     ya, yb = np.array([0, 1, 2, 0]), np.array([2, 2, 1, 0])
-    alone = model.backward(model.forward(xa, ya)[1])
-    _, cache_a = model.forward(xa, ya)
-    _, cache_b = model.forward(xb, yb)
-    model.backward(cache_b)
-    for got, want in zip(model.backward(cache_a), alone, strict=True):
+    alone = one_rank.backward(model, one_rank.forward(model, xa, ya)[1])
+    _, cache_a = one_rank.forward(model, xa, ya)
+    _, cache_b = one_rank.forward(model, xb, yb)
+    one_rank.backward(model, cache_b)
+    for got, want in zip(one_rank.backward(model, cache_a), alone, strict=True):
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
 
@@ -230,20 +230,20 @@ def _models():
 @pytest.mark.parametrize("model, x, classes", _models(), ids=["cnn", "mlp", "relu_first"])
 def test_backward_stops_at_the_lowest_parameterized_layer(model, x, classes):
     labels = np.arange(len(x)) % classes
-    _, cache = model.forward(x, labels)
+    _, cache = one_rank.forward(model, x, labels)
     calls = []
     for i, layer in enumerate(model.layers):
-        def spy(dy, c, need_dx=True, i=i, original=layer.backward):
+        def spy(dy, c, need_dx=True, i=i, original=layer.backward, **out):
             calls.append((i, need_dx))
-            return original(dy, c, need_dx=need_dx)
+            return original(dy, c, need_dx=need_dx, **out)
         layer.backward = spy
-    grads = model.backward(cache)
+    grads = one_rank.backward(model, cache)
     lowest = next(i for i, l in enumerate(model.layers) if l.params())
     top = len(model.layers) - 1
     assert calls == [(i, i > lowest) for i in range(top, lowest - 1, -1)]
 
     dx, full = full_backward_reference(model, cache)
-    assert dx.shape == x.shape
+    assert dx.shape == (1, *x.shape)
     assert len(grads) == len(full)
     for got, want in zip(grads, full):
         for a, b in zip(got, want, strict=True):
@@ -252,7 +252,7 @@ def test_backward_stops_at_the_lowest_parameterized_layer(model, x, classes):
 
 def test_every_layer_skips_its_input_gradient_on_request():
     rng = np.random.default_rng(37)
-    x = rng.standard_normal((2, 2, 9, 9)).astype(np.float32)
+    x = rng.standard_normal((1, 2, 2, 9, 9)).astype(np.float32)
     for layer in (Conv5x5(2, 3, rng), ReLU(), MaxPool2x2(), FullyConnected(162, 3, rng)):
         y, cache = layer.forward(x)
         dy = rng.standard_normal(y.shape).astype(np.float32)
@@ -331,7 +331,7 @@ def test_relu_rejects_values_that_are_not_float32():
     with pytest.raises(TypeError, match="float64"):
         ReLU().forward(np.ones((4, 1)))
     with pytest.raises(TypeError, match="float64"):
-        build_mlp(6, [5], 3, seed=5).forward(np.ones((4, 6)), np.zeros(4, np.int64))
+        one_rank.forward(build_mlp(6, [5], 3, seed=5), np.ones((4, 6)), np.zeros(4, np.int64))
 
 
 def test_maxpool_picks_what_argmax_picks():
@@ -476,10 +476,10 @@ def test_stacked_ranks_match_per_rank_calls_bitwise(kind, n, b):
                                        for l in model.param_layers]
     assert all(r.dtype == np.float32 and r.flags.c_contiguous for r in rows)
     for rank in range(n):
-        loss, own = model.forward(x[rank], y[rank])
+        (loss,), own = model.forward(x[rank:rank + 1], y[rank:rank + 1])
         assert type(loss) is float and loss == losses[rank]
-        for row, gv in zip(rows, serialize_grad(model.backward(own)), strict=True):
-            assert row[rank].tobytes() == gv.values.tobytes()
+        for row, own_row in zip(rows, model.backward(own), strict=True):
+            assert row[rank].tobytes() == own_row[0].tobytes()
 
 
 @pytest.mark.parametrize("model, x, classes", _models(), ids=["cnn", "mlp", "relu_first"])
@@ -487,25 +487,30 @@ def test_predict_is_the_argmax_of_the_forward_logits(model, x, classes, monkeypa
     seen = []
     loss = model.head.loss
     monkeypatch.setattr(model.head, "loss", lambda logits, labels: seen.append(logits) or loss(logits, labels))
-    model.forward(x, np.arange(len(x)) % classes)
+    one_rank.forward(model, x, np.arange(len(x)) % classes)
     got = model.predict(x)
     assert got.shape == (len(x),)
-    assert got.tobytes() == seen[0].argmax(axis=1).tobytes()
+    assert got.tobytes() == seen[0][0].argmax(axis=1).tobytes()
 
 
 # ------------------------------------------------------------- serialization
 
 def test_conv_serialization_layout():
+    # a layer's gradient row is ravel(dW) then the bias gradient
     rng = np.random.default_rng(0)
     conv = Conv5x5(3, 2, rng)
-    grad_weight = np.arange(150, dtype=np.float32).reshape(2, 3, 5, 5)
-    grad_bias = np.array([900.0, 901.0], np.float32)
-    model = Model([conv], classes=2)
-    gv = serialize_grad([[grad_weight, grad_bias]])[0]
-    assert gv.length == 152
-    # kernel element (o=1, i=2, r=4, c=4) sits at flat index 149
-    assert gv.values[149] == 149.0
-    assert gv.values[150] == 900.0 and gv.values[151] == 901.0
+    model = Model([conv, FullyConnected(2, 2, rng)], classes=2)
+    x = rng.uniform(-1, 1, (2, 4, 3, 5, 5)).astype(np.float32)
+    _, cache = model.forward(x, np.array([[0, 1, 1, 0], [1, 1, 0, 0]]))
+    rows = model.backward(cache)
+    _, full = full_backward_reference(model, cache)
+    grad_weight, grad_bias = full[0]
+    assert rows[0].shape == (2, 152)
+    for rank, row in enumerate(rows[0]):
+        # kernel element (o=1, i=2, r=4, c=4) sits at flat index 149
+        assert row[149] == grad_weight[rank, 1, 2, 4, 4]
+        assert row[:150].tobytes() == grad_weight[rank].tobytes()
+        assert row[150:].tobytes() == grad_bias[rank].tobytes()
     assert model.param_layers[0].kind == "conv"
 
 
@@ -515,14 +520,14 @@ def test_split_vector_roundtrip():
     model = Model([fc], classes=3)
     x = rng.uniform(-1, 1, (4, 7)).astype(np.float32)
     y = np.array([0, 1, 2, 0])
-    _, cache = model.forward(x, y)
-    grads = model.backward(cache)
-    gv = serialize_grad(grads)[0]
-    parts = split_vector(gv.values, [p.shape for p in fc.params()])
-    np.testing.assert_array_equal(parts[0], grads[0][0])
-    np.testing.assert_array_equal(parts[1], grads[0][1])
+    _, cache = one_rank.forward(model, x, y)
+    row = model.backward(cache)[0][0]
+    _, grads = full_backward_reference(model, cache)  # [dW, db] with a rank axis of 1
+    parts = split_vector(row, [p.shape for p in fc.params()])
+    np.testing.assert_array_equal(parts[0], grads[0][0][0])
+    np.testing.assert_array_equal(parts[1], grads[0][1][0])
     with pytest.raises(ValueError):
-        split_vector(gv.values[:-1], [p.shape for p in fc.params()])
+        split_vector(row[:-1], [p.shape for p in fc.params()])
 
 
 def test_layer_names():
@@ -540,8 +545,8 @@ def test_same_seed_same_losses_and_grads():
         rng = np.random.default_rng(42)
         x = rng.uniform(-1, 1, (6, 8)).astype(np.float32)
         y = rng.integers(0, 3, 6)
-        loss, cache = model.forward(x, y)
-        grads = model.backward(cache)
+        loss, cache = one_rank.forward(model, x, y)
+        grads = one_rank.backward(model, cache)
         return loss, grads
 
     loss_a, grads_a = one(7)
@@ -561,8 +566,8 @@ def test_loss_decreases_on_separable_task():
     opt = SGDMomentum(lr=0.05)
     first = last = None
     for step in range(50):
-        loss, cache = model.forward(ds.features, ds.labels)
-        grads = model.backward(cache)
+        loss, cache = one_rank.forward(model, ds.features, ds.labels)
+        grads = one_rank.backward(model, cache)
         params = [p for l in model.param_layers for p in l.params()]
         flat = [g for parts in grads for g in parts]
         opt.update(params, flat)

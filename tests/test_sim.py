@@ -7,11 +7,12 @@ from adacomp import sim
 from adacomp.baselines import DensePacked, OneBitPacked, TopKPacked, topk_pack
 from adacomp.codec import BinConfig, CodecState, GradientVector, PackedLayer, pack
 from adacomp.data import synth_digits, synth_gaussians
-from adacomp.nn import build_cnn, build_mlp, serialize_grad
+from adacomp.nn import build_cnn, build_mlp
 from adacomp.optim import Adam, SGDMomentum
 from adacomp.sim import Cluster, DivergenceError, make_codec, nearest_rank_percentile, shard
 from adacomp.wire import payload_bits
 
+import one_rank
 from oracles import ReplicaReference, nearest_rank_reference, pooled_p95_reference
 
 DIM, CLASSES = 12, 4
@@ -109,16 +110,11 @@ def test_single_learner_identity_matches_plain_loop():
         streams = shard(len(train), 1, seed=1, epoch=epoch)[0]
         for t in range(len(train) // 16):
             idx = streams[t * 16:(t + 1) * 16]
-            _, cache = model.forward(train.features[idx], train.labels[idx])
-            grads = model.backward(cache)
+            _, cache = one_rank.forward(model, train.features[idx], train.labels[idx])
+            grads = one_rank.backward(model, cache)
             params = [p for l in model.param_layers for p in l.params()]
             # the identity codec roundtrips gradients bit-for-bit
-            flats = [gv.values for gv in serialize_grad(grads)]
-            split = []
-            for l, flat in zip(model.param_layers, flats):
-                w, b = l.params()
-                split += [flat[:w.size].reshape(w.shape), flat[w.size:].reshape(b.shape)]
-            opt.update(params, split)
+            opt.update(params, [g for parts in grads for g in parts])
     expect = [p for l in model.param_layers for p in l.params()]
     for a, b in zip(got, expect):
         np.testing.assert_array_equal(a, b)
