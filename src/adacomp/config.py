@@ -7,7 +7,7 @@ typos fail fast instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -53,9 +53,10 @@ def _as_int(d: dict, path: str, key: str, default=None, minimum=None, maximum=No
 
 def _as_number(d: dict, path: str, key: str, default=None, minimum=None, maximum=None,
                above=None, below=None) -> float:
-    """A finite number; minimum and maximum are inclusive bounds, above and below exclusive."""
+    """A finite number, which rules out NaN, inf and integer literals beyond float
+    range; minimum and maximum are inclusive bounds, above and below exclusive."""
     v = d.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
     v = float(v)
     if minimum is not None and v < minimum:
@@ -246,8 +247,8 @@ class ExperimentConfig:
         text = Path(path).read_text()
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError("config", f"invalid JSON at line {e.lineno}: {e.msg}") from e
+        except ValueError as e:  # a JSONDecodeError names the line; int() reads 4,300 digits at most
+            raise ConfigError("config", f"invalid JSON: {e}") from e
         return cls.from_dict(raw)
 
     def replace(self, **overrides) -> "ExperimentConfig":

@@ -17,6 +17,10 @@ gradient adds W times a zero-padded dy into dx in runs of oh*w floats: a pad
 term W·0 = ±0.0 changes no sum started from +0.0 (never -0.0) while the
 weights are finite, as ``Cluster`` checks after every update. Only the NaN
 that a sum of two NaNs keeps may differ from a slice-by-slice scatter.
+im2col copies whole kernel rows, each run of k floats one void item (numpy
+copies floats one by one in loops of k): the items hold the same bytes in the
+same C order, so the matrix, its products and dW keep every bit. The conv bias
+adds over (b*oh, ow*out_maps) rows, the same float adds as over out_maps.
 
 A model takes N ranks stacked on a leading axis, (N, b, ...) with (N, b)
 labels, one rank being N = 1; it returns N losses and, per parameterized
@@ -85,10 +89,15 @@ class Conv5x5:
         oh, ow = h - k + 1, w - k + 1
         if oh < 1 or ow < 1:
             raise ValueError("input smaller than kernel")
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(-2, -1))
-        cols = np.moveaxis(windows, -5, -3).reshape(*ranks, b * oh * ow, c * k * k)
+        # item (.., row, col) is the run x[.., row, col:col + k]: one void, one copy
+        x = np.ascontiguousarray(x)
+        runs = np.ndarray((*ranks, b, c, h, ow), np.dtype((np.void, k * x.itemsize)), x, strides=x.strides)
+        cols = np.empty((*ranks, b, oh, ow, c, k), runs.dtype)
+        np.copyto(cols, np.moveaxis(np.lib.stride_tricks.sliding_window_view(runs, k, axis=-2), -4, -2))
+        cols = cols.view(x.dtype).reshape(*ranks, b * oh * ow, c * k * k)
         out = cols @ self.weight.reshape(self.out_maps, -1).T
-        out += self.bias
+        wide = out.reshape(*ranks, b * oh, ow * self.out_maps)  # a view: the bias adds in long rows
+        wide += np.tile(self.bias, ow)
         return np.moveaxis(out.reshape(*ranks, b, oh, ow, self.out_maps), -1, -3), (cols, x.shape)
 
     def backward(self, dy: np.ndarray, cache, need_dx: bool = True, out=None):

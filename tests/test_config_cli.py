@@ -337,6 +337,44 @@ def test_cli_non_finite_number_exits_2(tmp_path, capsys, cfg, field):
     assert not (tmp_path / "o").exists()
 
 
+HUGE = 10**400  # json writes and reads it as an integer literal, beyond float range
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (base_config(optimizer={"kind": "sgd", "lr": HUGE}), "optimizer.lr"),
+    (base_config(optimizer={"kind": "sgd", "lr": -HUGE}), "optimizer.lr"),
+    (base_config(optimizer={"kind": "sgd", "lr": 0.1, "momentum": HUGE}), "optimizer.momentum"),
+    (base_config(optimizer={"kind": "adam", "lr": 0.01, "beta2": -HUGE}), "optimizer.beta2"),
+    (base_config(optimizer={"kind": "adam", "lr": 0.01, "eps": HUGE}), "optimizer.eps"),
+    (base_config(codec={"fc": {"kind": "adacomp", "scale_factor": HUGE}}), "codec.fc.scale_factor"),
+    (base_config(codec={"fc": {"kind": "topk", "fraction": HUGE}}), "codec.fc.fraction"),
+    (base_config(dataset={"kind": "gaussians", "classes": 4, "dim": 16, "train": 128,
+                          "test": 64, "separation": HUGE}), "dataset.separation"),
+    (cnn_config(dataset={"kind": "digits", "train": 64, "test": 32, "noise": HUGE}),
+     "dataset.noise"),
+], ids=["lr", "lr_negative", "momentum", "adam_beta2_negative", "adam_eps", "scale_factor",
+        "topk_fraction", "separation", "digits_noise"])
+def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys, cfg, field):
+    path = write_config(tmp_path, cfg)
+    assert str(HUGE) in path.read_text()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config error at {field}: expected a finite number")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_integer_literal_too_long_to_read_exits_2(tmp_path, capsys):
+    # json reads no integer literal of more digits than int() converts (4,300 by default)
+    path = write_config(tmp_path, base_config(optimizer={"kind": "sgd", "lr": 0.25}))
+    path.write_text(path.read_text().replace("0.25", "1" + "0" * 5000))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error at config: invalid JSON: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("cfg, field, message", [
     (base_config(model={"kind": "mlp", "input_dim": 16, "hidden": [True], "classes": 4}),
      "model.hidden", "expected a list of positive integers"),

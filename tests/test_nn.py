@@ -197,23 +197,52 @@ def test_interleaved_batches_keep_their_own_caches():
 
 # -------------------------------------------------------- conv engine shortcuts
 
-@pytest.mark.parametrize("b, c, h, w", [(1, 1, 5, 5), (3, 3, 13, 9), (1, 3, 9, 13), (3, 1, 6, 11)])
-def test_conv_im2col_matches_slice_loop_reference(b, c, h, w):
-    rng = np.random.default_rng([b, c, h, w])
-    conv = Conv5x5(c, 4, rng)
-    conv.bias[:] = rng.uniform(-1, 1, 4)
-    x = rng.standard_normal((b, c, h, w)).astype(np.float32)
+def _im2col_case(shape, maps=4, ranks=None, strided=False, name=None):
+    return pytest.param(shape, maps, ranks, strided, id=name or "-".join(map(str, shape)))
+
+
+@pytest.mark.parametrize("shape, maps, ranks, strided", [
+    _im2col_case((1, 1, 5, 5)), _im2col_case((3, 3, 13, 9)),
+    _im2col_case((1, 3, 9, 13)), _im2col_case((3, 1, 6, 11)),
+    # N = 3 ranks stacked on a leading axis, h = w = 5 (ow = 1) among them
+    _im2col_case((2, 2, 9, 7), ranks=3, name="ranks3-2-2-9-7"),
+    _im2col_case((2, 3, 5, 5), ranks=3, name="ranks3-2-3-5-5"),
+    # a view with a stride of two floats along the row, alone and stacked
+    _im2col_case((2, 3, 8, 10), strided=True, name="strided-2-3-8-10"),
+    _im2col_case((1, 2, 5, 5), strided=True, name="strided-1-2-5-5"),
+    _im2col_case((2, 2, 7, 6), ranks=3, strided=True, name="strided-ranks3-2-2-7-6"),
+    # conv0 and conv1 of the benchmark's CNN: training batch, cnn-n32's
+    # (32, 4, ...) stack and the 512-sample evaluation batch
+    _im2col_case((128, 1, 28, 28), maps=8, name="cnn-conv0-128"),
+    _im2col_case((4, 1, 28, 28), maps=8, ranks=32, name="cnn-n32-conv0"),
+    _im2col_case((128, 8, 12, 12), maps=16, name="cnn-conv1-128"),
+    _im2col_case((512, 1, 28, 28), maps=8, name="cnn-conv0-eval-512"),
+])
+def test_conv_im2col_matches_slice_loop_reference(shape, maps, ranks, strided):
+    b, c, h, w = shape
+    oh, ow = h - 4, w - 4
+    lead = () if ranks is None else (ranks,)
+    rng = np.random.default_rng([*lead, *shape, *([2] if strided else [])])
+    conv = Conv5x5(c, maps, rng)
+    conv.bias[:] = rng.uniform(-1, 1, maps)
+    x = rng.standard_normal((*lead, b, c, h, 2 * w if strided else w)).astype(np.float32)
+    if strided:
+        x = x[..., ::2]
+        assert not x.flags.c_contiguous
     out, (cols, _) = conv.forward(x)
-    ref = im2col_reference(x)
-    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
     assert cols.flags.c_contiguous
-    # at batch 1 the reference's reshape is a column-major view, and a
-    # product with it rounds differently: the output is checked against
-    # the same values in the row-major layout that every batch size gets
-    ref = np.ascontiguousarray(ref)
-    want = (ref @ conv.weight.reshape(4, -1).T + conv.bias).reshape(b, h - 4, w - 4, 4)
-    want = want.transpose(0, 3, 1, 2)
-    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    assert cols.shape == (*lead, b * oh * ow, c * 25) and out.shape == (*lead, b, maps, oh, ow)
+    # rank by rank: a single batch is a stack of one here
+    for x_r, cols_r, out_r in zip(*(a if ranks else a[None] for a in (x, cols, out))):
+        ref = im2col_reference(x_r)
+        assert cols_r.shape == ref.shape and cols_r.tobytes() == ref.tobytes()
+        # at batch 1 the reference's reshape is a column-major view, and a
+        # product with it rounds differently: the output is checked against
+        # the same values in the row-major layout that every batch size gets
+        ref = np.ascontiguousarray(ref)
+        want = (ref @ conv.weight.reshape(maps, -1).T + conv.bias).reshape(b, oh, ow, maps)
+        want = want.transpose(0, 3, 1, 2)
+        assert out_r.shape == want.shape and out_r.tobytes() == want.tobytes()
 
 
 def _models():
