@@ -16,7 +16,7 @@ method), and in how many pairs the change was better by the direction
 ``BENCHMARK.json`` gives it. With ``--write PR`` it writes
 ``BENCH_<PR>-parent.json`` and ``BENCH_<PR>-change.json`` into the change
 checkout: each is the result object of that side's run at the lower median
-``step_ms_p50`` (the 5th of 10). ``--log`` keeps every run's result object.
+``step_ms_p50`` (the 5th of 10).
 Exit code: 0 when every run checked correct, 1 when one did not, 2 when a
 run gave no result.
 """
@@ -103,7 +103,6 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--write", type=int, metavar="PR", help="write BENCH_<PR>-{parent,change}.json")
-    parser.add_argument("--log", type=Path, help="write every run's result object to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -133,10 +132,6 @@ def main(argv=None) -> int:
     print(f"{args.workload}, {args.pairs} pairs at {args.seconds:g} s, trace {args.trace}, "
           f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
     print("\n".join(summarize(runs, directions(checkouts["change"]))))
-    if args.log is not None:
-        args.log.write_text(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                                        "first_seed": args.first_seed, "trace": args.trace,
-                                        "runs": runs}, indent=1) + "\n")
     if args.write is not None:
         for side in SIDES:
             out = checkouts["change"] / f"BENCH_{args.write}-{side}.json"

@@ -247,7 +247,7 @@ class ExperimentConfig:
         text = Path(path).read_text()
         try:
             raw = json.loads(text)
-        except ValueError as e:  # a JSONDecodeError names the line; int() reads 4,300 digits at most
+        except ValueError as e:  # a JSONDecodeError names the line; int() may cap a literal's digits
             raise ConfigError("config", f"invalid JSON: {e}") from e
         return cls.from_dict(raw)
 

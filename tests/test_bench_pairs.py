@@ -40,8 +40,7 @@ def test_pairs_alternate_and_write_the_lower_median_run(tmp_path, capsys):
     parent = checkout(tmp_path, "parent", 20.0, order)
     change = checkout(tmp_path, "change", 10.0, order)
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "cnn-n1",
-                             "--pairs", "4", "--seconds", "1", "--first-seed", "1", "--write", "99",
-                             "--log", str(tmp_path / "log.json")]) == 0
+                             "--pairs", "4", "--seconds", "1", "--first-seed", "1", "--write", "99"]) == 0
     assert order.read_text().split("\n")[:-1] == [
         "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3", "change 4", "parent 4"]
     out = capsys.readouterr().out
@@ -52,7 +51,6 @@ def test_pairs_alternate_and_write_the_lower_median_run(tmp_path, capsys):
     written = json.loads((change / "BENCH_99-parent.json").read_text())
     assert written["metrics"]["step_ms_p50"]["value"] == 22.0
     assert json.loads((change / "BENCH_99-change.json").read_text())["metrics"]["step_ms_p50"]["value"] == 12.0
-    assert len(json.loads((tmp_path / "log.json").read_text())["runs"]["change"]) == 4
 
 
 def test_a_run_without_a_result_exits_2(tmp_path, capsys):

@@ -365,12 +365,14 @@ def test_cli_integer_beyond_float_range_exits_2(tmp_path, capsys, cfg, field):
 
 
 def test_cli_integer_literal_too_long_to_read_exits_2(tmp_path, capsys):
-    # json reads no integer literal of more digits than int() converts (4,300 by default)
+    # where int() limits the digits it converts (PYTHONINTMAXSTRDIGITS), json.loads
+    # refuses the literal; where it does not, the literal is an int beyond float range
     path = write_config(tmp_path, base_config(optimizer={"kind": "sgd", "lr": 0.25}))
     path.write_text(path.read_text().replace("0.25", "1" + "0" * 5000))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config error at config: invalid JSON: ")
+    assert err.startswith(("error: config error at config: invalid JSON: ",
+                           "error: config error at optimizer.lr: expected a finite number"))
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
