@@ -116,10 +116,11 @@ def _validate_dataset(spec, path="dataset") -> dict:
     if kind == "gaussians":
         _check_keys(spec, path, {"kind", "classes", "dim", "train", "test"}, {"separation"})
         classes = _as_int(spec, path, "classes", minimum=2)
+        # the generator draws every class at least once
         return {"kind": kind, "classes": classes,
                 "dim": _as_int(spec, path, "dim", minimum=classes),
-                "train": _as_int(spec, path, "train", minimum=1),
-                "test": _as_int(spec, path, "test", minimum=1),
+                "train": _as_int(spec, path, "train", minimum=classes),
+                "test": _as_int(spec, path, "test", minimum=classes),
                 "separation": _as_number(spec, path, "separation", default=4.0, minimum=0.0)}
     if kind == "digits":
         _check_keys(spec, path, {"kind", "train", "test"}, {"noise", "shift", "task_seed"})

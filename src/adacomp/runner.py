@@ -9,7 +9,7 @@ import math
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
-from .data import Dataset, load_idx, synth_digits, synth_gaussians
+from .data import DataError, Dataset, load_idx, synth_digits, synth_gaussians
 from .metrics import MetricsWriter, fmt, write_histogram_csv
 from .nn import build_cnn, build_mlp
 from .optim import make_optimizer
@@ -30,6 +30,14 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if spec["kind"] == "idx":
         train = load_idx(spec["train_images"], spec["train_labels"], "train", spec["classes"])
         test = load_idx(spec["test_images"], spec["test_labels"], "test", spec["classes"])
+        # the model is checked against the training images only, and evaluate
+        # divides by the test set's size
+        if not len(test):
+            raise DataError(f"{spec['test_images']}: the test set has no images")
+        (th, tw), (h, w) = test.features.shape[2:], train.features.shape[2:]
+        if (th, tw) != (h, w):
+            raise DataError(f"{spec['test_images']}: test images of {th}x{tw} do not match "
+                            f"the training images of {h}x{w}")
         if spec["center"]:
             mean = train.features.mean(dtype="float32")
             train.features = train.features - mean

@@ -258,12 +258,12 @@ class Cluster:
             np.abs(states[layer_index].residue, out=row)
         return pooled.reshape(-1)
 
-    def evaluate(self, test: Dataset, batch: int = 512) -> float:
-        """Test error rate of the model."""
+    def evaluate(self, test: Dataset) -> float:
+        """Test error rate of the model, predicted 512 samples at a time."""
         wrong = 0
-        for start in range(0, len(test), batch):
-            x = test.features[start:start + batch]
-            y = test.labels[start:start + batch]
+        for start in range(0, len(test), 512):
+            x = test.features[start:start + 512]
+            y = test.labels[start:start + 512]
             wrong += int((self.model.predict(x) != y).sum())
         return wrong / len(test)
 

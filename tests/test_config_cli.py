@@ -1,16 +1,23 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
+from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adacomp
 from adacomp.cli import main
+from adacomp.codec import MAX_BIN_SIZE
 from adacomp.config import ConfigError, ExperimentConfig
-from adacomp.data import synth_digits_idx
+from adacomp.data import synth_digits_idx, write_idx
 from adacomp.runner import sweep
 
 
@@ -258,6 +265,21 @@ def test_cli_idx_run_succeeds(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("images", [np.zeros((0, 28, 28), np.uint8), np.zeros((16, 20, 20), np.uint8)],
+                         ids=["empty", "20x20"])
+def test_cli_idx_test_set_that_cannot_be_evaluated_exits_2_before_training(tmp_path, capsys, images):
+    cfg = idx_config(tmp_path)
+    img, lbl = tmp_path / "test-images.idx", tmp_path / "test-labels.idx"
+    write_idx(images, np.zeros(len(images)), img, lbl)
+    cfg["dataset"].update(test_images=str(img), test_labels=str(lbl))
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {img}: ") and "Traceback" not in err
+    assert ("no images" if len(images) == 0 else "20x20") in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_cli_divergence_exit_code(tmp_path, capsys):
     cfg = base_config(optimizer={"kind": "sgd", "lr": 1e30}, epochs=3)
@@ -301,7 +323,10 @@ def test_cli_adam_beta_of_one_exits_2(tmp_path, capsys, beta):
     (base_config(model={"kind": "mlp", "input_dim": 3, "hidden": [8], "classes": 4},
                  dataset={"kind": "gaussians", "classes": 4, "dim": 3, "train": 128, "test": 64}),
      "dataset.dim"),
-], ids=["negative_seed", "negative_task_seed", "gaussians_dim_below_classes"])
+    (base_config(dataset={"kind": "gaussians", "classes": 4, "dim": 16, "train": 3, "test": 64}),
+     "dataset.train"),
+], ids=["negative_seed", "negative_task_seed", "gaussians_dim_below_classes",
+        "gaussians_train_below_classes"])
 def test_cli_config_the_generators_reject_exits_2(tmp_path, capsys, cfg, field):
     path = write_config(tmp_path, cfg)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -470,3 +495,76 @@ def test_rg_histogram_export(tmp_path):
     assert lines[0] == "layer,bucket,lo,hi,count"
     # 64 buckets per parameterized layer
     assert len(lines) == 1 + 64 * 2
+
+
+# ------------------------------------------------------------------ fuzzing
+
+ODD_NUMBERS = st.sampled_from([0, -0.0, 1, -1, 1e-320, 5e-324, 1e308, -1e308, NAN, INF, -INF, HUGE])
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """Configs around the space the validator accepts: both models, every
+    codec, both optimizers, both synthetic datasets, tiny sizes. One value in
+    ten is off the usual: a boundary, non-finite or huge number, or a model
+    field that does not fit the data."""
+    def usual(value, odd=ODD_NUMBERS):
+        return draw(odd if draw(st.integers(0, 9)) == 7 else value)
+
+    if draw(st.booleans()):
+        classes = draw(st.integers(2, 5))
+        dataset = {"kind": "gaussians", "classes": classes,
+                   "dim": draw(st.integers(classes, classes + 6)),
+                   "train": draw(st.integers(classes, 64)), "test": draw(st.integers(classes, 32)),
+                   "separation": usual(st.floats(0, 8))}
+        features = [dataset["dim"]]
+    else:
+        classes = 10
+        dataset = {"kind": "digits", "train": draw(st.integers(1, 64)),
+                   "test": draw(st.integers(1, 32)), "noise": usual(st.floats(0, 1)),
+                   "shift": draw(st.integers(0, 3)), "task_seed": draw(st.integers(0, 3))}
+        features = [1, 28, 28]
+    model_classes = usual(st.sampled_from([classes, classes + 1]), st.just(2))
+    images = len(features) == 3
+    # a cnn needs images: one on gaussians is an odd draw
+    if not usual(st.just(images and draw(st.booleans())), st.just(not images)):
+        model = {"kind": "mlp", "input_dim": usual(st.just(math.prod(features)), st.just(3)),
+                 "hidden": draw(st.lists(st.integers(1, 8), max_size=2)), "classes": model_classes}
+    else:
+        model = {"kind": "cnn", "in_maps": usual(st.just(1), st.just(2)),
+                 "conv_maps": draw(st.lists(st.integers(1, 4), max_size=2)),
+                 "fc_hidden": draw(st.integers(1, 8)), "classes": model_classes,
+                 "image_hw": usual(st.just([28, 28]), st.sampled_from([[16, 16], [6, 6]]))}
+    codecs = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("adacomp"),
+                               "bin_size": st.one_of(st.integers(1, 600), st.just(MAX_BIN_SIZE)),
+                               "scale_factor": st.floats(1, 4)}),
+        st.fixed_dictionaries({"kind": st.just("ls"), "bin_size": st.integers(1, 600)}),
+        st.fixed_dictionaries({"kind": st.just("topk"), "fraction": st.floats(1e-6, 1)}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["onebit", "identity"])}))
+    codec = {kind: draw(codecs) for kind in ("conv", "fc")}
+    for entry in codec.values():
+        for key in ("scale_factor", "fraction"):
+            if key in entry:
+                entry[key] = usual(st.just(entry[key]))
+    if draw(st.booleans()):
+        optimizer = {"kind": "sgd", "lr": usual(st.floats(0, 1)), "momentum": usual(st.floats(0, 1))}
+    else:
+        optimizer = {"kind": "adam", "lr": usual(st.floats(0, 0.1)),
+                     "beta1": usual(st.floats(0, 0.999)), "beta2": usual(st.floats(0, 0.9999)),
+                     "eps": usual(st.floats(1e-12, 1))}
+    learners = draw(st.integers(1, 4))
+    epochs = draw(st.integers(1, 2))
+    return {"model": model, "dataset": dataset, "optimizer": optimizer, "codec": codec,
+            "learners": learners, "minibatch": learners * draw(st.integers(1, 8)),
+            "epochs": epochs, "seed": draw(st.integers(0, 2**32)),
+            "rg_histogram_epochs": draw(st.lists(st.integers(1, epochs), max_size=2))}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=250, deadline=timedelta(seconds=10), derandomize=True)
+@given(cfg=_fuzz_configs())
+def test_cli_run_of_a_fuzzed_config_exits_0_2_or_3(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -520,6 +522,82 @@ def test_predict_is_the_argmax_of_the_forward_logits(model, x, classes, monkeypa
     got = model.predict(x)
     assert got.shape == (len(x),)
     assert got.tobytes() == seen[0][0].argmax(axis=1).tobytes()
+
+
+def _repo_models():
+    """(model, sample shape) for every model shape the repo builds: perfbench's
+    CNN and MLP, then those of the tests."""
+    rng = np.random.default_rng(31)
+    relu_first = Model([ReLU(), Conv5x5(2, 2, rng), ReLU(), MaxPool2x2(),
+                        FullyConnected(8, 3, rng)], classes=3)
+    return [(build_cnn(1, [8, 16], 64, 10, seed=7), (1, 28, 28)),
+            (build_mlp(64, [256, 256], 10, seed=7), (64,)),
+            (build_cnn(1, [4, 8], 16, 10, seed=7), (1, 28, 28)),
+            (build_cnn(1, [4], 8, 10, seed=7), (1, 28, 28)),
+            (build_cnn(1, [2, 3], 8, 4, seed=5, image_hw=(16, 16)), (1, 16, 16)),
+            (build_cnn(1, [4, 6], 12, 5, seed=3, image_hw=(16, 16)), (1, 16, 16)),
+            (relu_first, (2, 9, 9)),
+            # convs of one and two maps, which predict leaves unsliced
+            (build_cnn(1, [4, 1], 8, 10, seed=7, image_hw=(16, 16)), (1, 16, 16)),
+            (build_cnn(1, [4, 2], 8, 10, seed=7, image_hw=(16, 16)), (1, 16, 16)),
+            (build_mlp(784, [8], 10, seed=7), (784,)),
+            (build_mlp(16, [8], 4, seed=7), (16,)),
+            (build_mlp(20, [32, 16], 5, seed=3), (20,)),
+            (build_mlp(12, [], 3, seed=0), (12,))]
+
+
+@pytest.mark.parametrize("b", [512, 300, 129])
+@pytest.mark.parametrize("model, shape", _repo_models(), ids=[
+    "cnn_8_16", "mlp_64_256_256", "cnn_4_8", "cnn_4", "cnn_2_3_16px", "cnn_4_6_16px",
+    "relu_first", "cnn_4_1_16px", "cnn_4_2_16px", "mlp_784_8", "mlp_16_8", "mlp_20_32_16", "linear"])
+def test_predict_keeps_the_logits_of_one_unsliced_pass(model, shape, b, monkeypatch):
+    x = np.random.default_rng(b).standard_normal((b, *shape)).astype(np.float32)
+    whole = x[None]
+    for layer in model.layers:
+        whole = layer.forward(whole)[0]
+    seen = []
+    last = model.layers[-1]
+    forward = last.forward
+    monkeypatch.setattr(last, "forward", lambda v: seen.append(forward(v)) or seen[-1])
+    got = model.predict(x)
+    assert len(seen) == 1 and seen[0][0].tobytes() == whole.tobytes()
+    assert got.tobytes() == whole.argmax(axis=-1)[0].tobytes()
+
+
+@pytest.mark.parametrize("b, slices", [(512, [128] * 4), (300, [128, 172]), (255, [255]),
+                                       (256, [128, 128]), (1, [1])])
+def test_predict_runs_the_conv_stack_in_slices(b, slices, monkeypatch):
+    model = build_cnn(1, [8, 16], 64, 10, seed=7)
+    seen = []
+    conv, head = model.layers[0], model.layers[-2]
+    for layer in (conv, head):
+        forward = layer.forward
+        monkeypatch.setattr(layer, "forward", lambda v, f=forward: seen.append(v.shape[1]) or f(v))
+    model.predict(np.zeros((b, 1, 28, 28), np.float32))
+    assert seen == [*slices, b]
+
+
+def test_predict_leaves_a_conv_of_two_maps_unsliced(monkeypatch):
+    model = build_cnn(1, [4, 2], 8, 10, seed=7, image_hw=(16, 16))
+    seen = []
+    forward = model.layers[0].forward
+    monkeypatch.setattr(model.layers[0], "forward", lambda v: seen.append(v.shape[1]) or forward(v))
+    model.predict(np.zeros((512, 1, 16, 16), np.float32))
+    assert seen == [512]
+
+
+def test_predict_of_512_samples_peaks_below_16_mib():
+    # the cnn-n1 model; one unsliced pass peaks at 37 MiB, conv0's im2col alone 29 MB
+    model = build_cnn(1, [8, 16], 64, 10, seed=7)
+    x = np.random.default_rng(0).random((512, 1, 28, 28), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ------------------------------------------------------------- serialization
