@@ -48,13 +48,22 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as e:
+        print(f"error: cannot read config file {args.config}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    out = Path(args.out)
+    # the run makes its directory only after the data and the cluster are built
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        print(f"error: --out {out}: {blocker} is not a directory", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.command == "run":
         try:
-            summary = run(cfg, Path(args.out))
+            summary = run(cfg, out)
         except (ConfigError, DataError) as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_CONFIG
@@ -77,7 +86,16 @@ def main(argv=None) -> int:
     if not values:
         print("error: --values is empty", file=sys.stderr)
         return EXIT_CONFIG
-    rows = sweep(cfg, args.axis, values, Path(args.out))
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        print(f"error: --values repeats {repeated}; each value runs once, in its own directory",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        rows = sweep(cfg, args.axis, values, out)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     for r in rows:
         err = "-" if r["final_test_error"] is None else f"{r['final_test_error']:.4f}"
         rate = "-" if r["mean_compression_rate"] is None else f"{r['mean_compression_rate']:.1f}x"

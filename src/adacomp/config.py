@@ -1,12 +1,13 @@
 """Experiment configuration: one strict JSON document.
 
 Unknown keys are rejected and every complaint names the offending field, so
-typos fail fast instead of silently running a different experiment.
-"""
+typos fail fast instead of silently running a different experiment. SCHEMA
+and TOP_LEVEL give each field's type, default and bounds."""
 
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,153 +26,160 @@ class ConfigError(ValueError):
         self.field = field_path
 
 
-def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(d, dict):
-        raise ConfigError(path, f"expected an object, got {type(d).__name__}")
-    for k in d:
-        if k not in required and k not in optional:
-            raise ConfigError(f"{path}.{k}", "unknown key")
-    for k in required:
-        if k not in d:
-            raise ConfigError(f"{path}.{k}", "missing required key")
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _as_int(d: dict, path: str, key: str, default=None, minimum=None, maximum=None) -> int:
-    v = d.get(key, default)
-    if not _is_int(v):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}.{key}", f"must be <= {maximum}, got {v}")
+# each field type: what its values are called, and the test a value must pass
+TYPES = {
+    "int": ("an integer", _is_int),
+    # finite rules out NaN, inf and integer literals beyond float range
+    "number": ("a finite number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "path": ("a file path string", lambda v: isinstance(v, str)),
+    # a bool is an int to isinstance, but never a size or an epoch number
+    "ints": ("a list of positive integers",
+             lambda v: isinstance(v, list) and all(_is_int(i) and i > 0 for i in v)),
+}
+# each bound a Field may set: the sign a valid value keeps to it
+BOUNDS = {"minimum": (">=", operator.ge), "maximum": ("<=", operator.le),
+          "above": (">", operator.gt), "below": ("<", operator.lt)}
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config field: `type` is a key of TYPES, or "section" for an object
+    SCHEMA describes; `what` names the values in place of the type's name."""
+    type: str
+    default: object = REQUIRED
+    minimum: float | None = None  # inclusive bounds
+    maximum: float | None = None
+    above: float | None = None  # exclusive bounds
+    below: float | None = None
+    length: int | None = None
+    what: str | None = None
+
+
+SIZE, CLASSES = Field("int", minimum=1), Field("int", minimum=2)
+BIN_SIZE = Field("int", minimum=1, maximum=MAX_BIN_SIZE)  # the default is by layer kind
+LR = Field("number", minimum=0.0)
+# every section kind: its fields besides "kind", in the order a checked section lists them
+SCHEMA = {
+    "model": {
+        "mlp": {"input_dim": SIZE, "hidden": Field("ints"), "classes": CLASSES},
+        "cnn": {"in_maps": SIZE, "conv_maps": Field("ints"), "fc_hidden": SIZE, "classes": CLASSES,
+                "image_hw": Field("ints", [28, 28], length=2, what="[height, width]")},
+    },
+    "dataset": {
+        # dim, train and test are also at least classes: see _check_cross_field_rules
+        "gaussians": {"classes": CLASSES, "dim": CLASSES, "train": CLASSES, "test": CLASSES,
+                      "separation": Field("number", 4.0, minimum=0.0)},
+        "digits": {"train": SIZE, "test": SIZE, "noise": Field("number", 0.35, minimum=0.0),
+                   "shift": Field("int", 2, minimum=0), "task_seed": Field("int", 7, minimum=0)},
+        "idx": {"train_images": Field("path"), "train_labels": Field("path"),
+                "test_images": Field("path"), "test_labels": Field("path"),
+                "classes": Field("int", 10, minimum=2), "center": Field("bool", False)},
+    },
+    "optimizer": {
+        "sgd": {"lr": LR, "momentum": Field("number", 0.9, minimum=0.0, maximum=1.0)},
+        # a beta of 1 makes the bias correction 1 - beta**t 0 at every step, and an eps
+        # of 0 gives 0/0 wherever a gradient element and its second moment are both 0
+        "adam": {"lr": LR, "beta1": Field("number", 0.9, minimum=0.0, below=1.0),
+                 "beta2": Field("number", 0.999, minimum=0.0, below=1.0),
+                 "eps": Field("number", 1e-8, above=0.0)},
+    },
+    "codec": {
+        "adacomp": {"bin_size": BIN_SIZE,
+                    "scale_factor": Field("number", 2.0, minimum=1.0, maximum=4.0)},
+        "ls": {"bin_size": BIN_SIZE},
+        "topk": {"fraction": Field("number", above=0.0, maximum=1.0)},
+        "onebit": {},
+        "identity": {},
+    },
+}
+TOP_LEVEL = {
+    "model": Field("section"), "dataset": Field("section"), "optimizer": Field("section"),
+    "learners": SIZE, "minibatch": SIZE, "epochs": SIZE, "seed": Field("int", minimum=0),
+    "codec": Field("section", DEFAULT_CODEC),
+    "rg_histogram_epochs": Field("ints", [], what="a list of epoch numbers"),
+}
+
+
+def _check_value(field: Field, v, path: str):
+    what, valid = TYPES[field.type]
+    if not valid(v) or (field.length is not None and len(v) != field.length):
+        raise ConfigError(path, f"expected {field.what or what}, got {v!r}")
+    v = float(v) if field.type == "number" else list(v) if field.type == "ints" else v
+    for bound, (sign, holds) in BOUNDS.items():
+        limit = getattr(field, bound)
+        if limit is not None and not holds(v, limit):
+            raise ConfigError(path, f"must be {sign} {limit}, got {v}")
     return v
 
 
-def _as_number(d: dict, path: str, key: str, default=None, minimum=None, maximum=None,
-               above=None, below=None) -> float:
-    """A finite number, which rules out NaN, inf and integer literals beyond float
-    range; minimum and maximum are inclusive bounds, above and below exclusive."""
-    v = d.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
-    v = float(v)
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}.{key}", f"must be <= {maximum}, got {v}")
-    if above is not None and v <= above:
-        raise ConfigError(f"{path}.{key}", f"must be > {above}, got {v}")
-    if below is not None and v >= below:
-        raise ConfigError(f"{path}.{key}", f"must be < {below}, got {v}")
-    return v
+def _check_object(raw, path: str, fields: dict, **defaults) -> dict:
+    """raw checked against `fields`, with defaults (the table's, unless given) filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+    out = {}
+    for key, field in fields.items():
+        v = raw.get(key, defaults.get(key, field.default))
+        if v is REQUIRED:
+            raise ConfigError(f"{path}.{key}", "missing required key")
+        out[key] = (_check_section(v, key, key) if field.type == "section"
+                    else _check_value(field, v, f"{path}.{key}"))
+    return out
 
 
-def _validate_model(spec, path="model") -> dict:
-    _check_keys(spec, path, {"kind"}, {"input_dim", "hidden", "classes", "in_maps",
-                                       "conv_maps", "fc_hidden", "image_hw"})
-    kind = spec.get("kind")
-    if kind == "mlp":
-        _check_keys(spec, path, {"kind", "input_dim", "hidden", "classes"})
-        hidden = spec["hidden"]
-        if not isinstance(hidden, list) or not all(_is_int(h) and h > 0 for h in hidden):
-            raise ConfigError(f"{path}.hidden", "expected a list of positive integers")
-        return {"kind": "mlp",
-                "input_dim": _as_int(spec, path, "input_dim", minimum=1),
-                "hidden": hidden,
-                "classes": _as_int(spec, path, "classes", minimum=2)}
-    if kind == "cnn":
-        _check_keys(spec, path, {"kind", "in_maps", "conv_maps", "fc_hidden", "classes"},
-                    {"image_hw"})
-        conv_maps = spec["conv_maps"]
-        if not isinstance(conv_maps, list) or not all(_is_int(m) and m > 0 for m in conv_maps):
-            raise ConfigError(f"{path}.conv_maps", "expected a list of positive integers")
-        hw = spec.get("image_hw", [28, 28])
-        if not (isinstance(hw, list) and len(hw) == 2 and all(map(_is_int, hw))):
-            raise ConfigError(f"{path}.image_hw", "expected [height, width]")
-        # every 5x5 conv and 2x2 pool block needs at least 6 rows and columns
-        side = 1
-        for _ in conv_maps:
-            side = 2 * side + 4
-        if min(hw) < side:
-            raise ConfigError(f"{path}.image_hw",
-                              f"{hw} is too small for {len(conv_maps)} conv blocks, "
-                              f"which need at least [{side}, {side}]")
-        return {"kind": "cnn",
-                "in_maps": _as_int(spec, path, "in_maps", minimum=1),
-                "conv_maps": conv_maps,
-                "fc_hidden": _as_int(spec, path, "fc_hidden", minimum=1),
-                "classes": _as_int(spec, path, "classes", minimum=2),
-                "image_hw": hw}
-    raise ConfigError(f"{path}.kind", f"unknown model kind {kind!r}")
-
-
-def _validate_dataset(spec, path="dataset") -> dict:
-    if not isinstance(spec, dict) or "kind" not in spec:
+def _check_section(raw, section: str, path: str, **defaults) -> dict:
+    """A section of a kind SCHEMA[section] lists, or the codec's one per layer kind."""
+    if path == "codec":
+        if not isinstance(raw, dict):
+            raise ConfigError("codec", "expected an object keyed by layer kind")
+        for layer in raw:
+            if layer not in DEFAULT_CODEC:
+                raise ConfigError(f"codec.{layer}", "unknown layer kind (use conv/fc)")
+        return {layer: _check_section(entry, "codec", f"codec.{layer}",
+                                      bin_size=DEFAULT_CODEC[layer]["bin_size"])
+                for layer, entry in raw.items()}
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
+    if "kind" not in raw:
         raise ConfigError(f"{path}.kind", "missing required key")
-    kind = spec["kind"]
-    if kind == "gaussians":
-        _check_keys(spec, path, {"kind", "classes", "dim", "train", "test"}, {"separation"})
-        classes = _as_int(spec, path, "classes", minimum=2)
-        # the generator draws every class at least once
-        return {"kind": kind, "classes": classes,
-                "dim": _as_int(spec, path, "dim", minimum=classes),
-                "train": _as_int(spec, path, "train", minimum=classes),
-                "test": _as_int(spec, path, "test", minimum=classes),
-                "separation": _as_number(spec, path, "separation", default=4.0, minimum=0.0)}
-    if kind == "digits":
-        _check_keys(spec, path, {"kind", "train", "test"}, {"noise", "shift", "task_seed"})
-        return {"kind": kind,
-                "train": _as_int(spec, path, "train", minimum=1),
-                "test": _as_int(spec, path, "test", minimum=1),
-                "noise": _as_number(spec, path, "noise", default=0.35, minimum=0.0),
-                "shift": _as_int(spec, path, "shift", default=2, minimum=0),
-                "task_seed": _as_int(spec, path, "task_seed", default=7, minimum=0)}
-    if kind == "idx":
-        _check_keys(spec, path, {"kind", "train_images", "train_labels",
-                                 "test_images", "test_labels"}, {"classes", "center"})
-        for k in ("train_images", "train_labels", "test_images", "test_labels"):
-            if not isinstance(spec[k], str):
-                raise ConfigError(f"{path}.{k}", "expected a file path string")
-        center = spec.get("center", False)
-        if not isinstance(center, bool):
-            raise ConfigError(f"{path}.center", "expected true or false")
-        out = {k: spec[k] for k in ("kind", "train_images", "train_labels",
-                                    "test_images", "test_labels")}
-        out["classes"] = _as_int(spec, path, "classes", default=10, minimum=2)
-        out["center"] = center
-        return out
-    raise ConfigError(f"{path}.kind", f"unknown dataset kind {kind!r}")
+    kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in SCHEMA[section]:
+        raise ConfigError(f"{path}.kind", f"unknown {section} kind {kind!r}")
+    rest = {k: v for k, v in raw.items() if k != "kind"}
+    return {"kind": kind, **_check_object(rest, path, SCHEMA[section][kind], **defaults)}
 
 
-def _validate_codec(entry, layer_kind: str) -> dict:
-    path = f"codec.{layer_kind}"
-    default_bin_size = DEFAULT_CODEC[layer_kind]["bin_size"]
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ConfigError(f"{path}.kind", "missing required key")
-    kind = entry["kind"]
-    if kind == "adacomp":
-        _check_keys(entry, path, {"kind"}, {"bin_size", "scale_factor"})
-        return {"kind": kind,
-                "bin_size": _as_int(entry, path, "bin_size", default=default_bin_size,
-                                    minimum=1, maximum=MAX_BIN_SIZE),
-                "scale_factor": _as_number(entry, path, "scale_factor", default=2.0,
-                                           minimum=1.0, maximum=4.0)}
-    if kind == "ls":
-        _check_keys(entry, path, {"kind"}, {"bin_size"})
-        return {"kind": kind,
-                "bin_size": _as_int(entry, path, "bin_size", default=default_bin_size,
-                                    minimum=1, maximum=MAX_BIN_SIZE)}
-    if kind == "topk":
-        _check_keys(entry, path, {"kind", "fraction"})
-        return {"kind": kind, "fraction": _as_number(entry, path, "fraction", above=0.0, maximum=1.0)}
-    if kind in ("onebit", "identity"):
-        _check_keys(entry, path, {"kind"})
-        return {"kind": kind}
-    raise ConfigError(f"{path}.kind", f"unknown codec kind {kind!r}")
+def _check_cross_field_rules(c: dict) -> None:
+    """The rules that tie one field to another, on a config the table passed."""
+    if c["minibatch"] % c["learners"]:
+        raise ConfigError("config.minibatch",
+                          f"{c['minibatch']} is not divisible by {c['learners']} learners")
+    # the gaussians generator draws every class at least once, on orthogonal class means
+    data = c["dataset"]
+    for key in ("dim", "train", "test") if data["kind"] == "gaussians" else ():
+        if data[key] < data["classes"]:
+            raise ConfigError(f"dataset.{key}", f"must be >= {data['classes']}, got {data[key]}")
+    # every 5x5 conv and 2x2 pool block needs at least 6 rows and columns
+    model, side = c["model"], 1
+    for _ in model.get("conv_maps", ()):
+        side = 2 * side + 4
+    if model["kind"] == "cnn" and min(model["image_hw"]) < side:
+        raise ConfigError("model.image_hw",
+                          f"{model['image_hw']} is too small for {len(model['conv_maps'])} "
+                          f"conv blocks, which need at least [{side}, {side}]")
+    hist = c["rg_histogram_epochs"]
+    if hist and max(hist) > c["epochs"]:
+        raise ConfigError("config.rg_histogram_epochs",
+                          f"epoch {max(hist)} is beyond the last epoch, {c['epochs']}")
 
 
 @dataclass
@@ -188,66 +196,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _check_keys(raw, "config",
-                    {"model", "dataset", "optimizer", "learners", "minibatch", "epochs", "seed"},
-                    {"codec", "rg_histogram_epochs"})
-        model = _validate_model(raw["model"])
-        dataset = _validate_dataset(raw["dataset"])
-
-        opt = raw["optimizer"]
-        if not isinstance(opt, dict) or "kind" not in opt:
-            raise ConfigError("optimizer.kind", "missing required key")
-        if opt["kind"] == "sgd":
-            _check_keys(opt, "optimizer", {"kind", "lr"}, {"momentum"})
-            optimizer = {"kind": "sgd",
-                         "lr": _as_number(opt, "optimizer", "lr", minimum=0.0),
-                         "momentum": _as_number(opt, "optimizer", "momentum", default=0.9,
-                                                minimum=0.0, maximum=1.0)}
-        elif opt["kind"] == "adam":
-            _check_keys(opt, "optimizer", {"kind", "lr"}, {"beta1", "beta2", "eps"})
-            # a beta of 1 makes the bias correction 1 - beta**t 0 at every step, and an eps
-            # of 0 gives 0/0 wherever a gradient element and its second moment are both 0
-            optimizer = {"kind": "adam",
-                         "lr": _as_number(opt, "optimizer", "lr", minimum=0.0),
-                         "beta1": _as_number(opt, "optimizer", "beta1", default=0.9, minimum=0.0, below=1.0),
-                         "beta2": _as_number(opt, "optimizer", "beta2", default=0.999, minimum=0.0, below=1.0),
-                         "eps": _as_number(opt, "optimizer", "eps", default=1e-8, above=0.0)}
-        else:
-            raise ConfigError("optimizer.kind", f"unknown optimizer kind {opt['kind']!r}")
-
-        codec_raw = raw.get("codec", DEFAULT_CODEC)
-        if not isinstance(codec_raw, dict):
-            raise ConfigError("codec", "expected an object keyed by layer kind")
-        codec = {}
-        for layer_kind, entry in codec_raw.items():
-            if layer_kind not in ("conv", "fc"):
-                raise ConfigError(f"codec.{layer_kind}", "unknown layer kind (use conv/fc)")
-            codec[layer_kind] = _validate_codec(entry, layer_kind)
-
-        learners = _as_int(raw, "config", "learners", minimum=1)
-        minibatch = _as_int(raw, "config", "minibatch", minimum=1)
-        if minibatch % learners != 0:
-            raise ConfigError("config.minibatch",
-                              f"{minibatch} is not divisible by {learners} learners")
-        epochs = _as_int(raw, "config", "epochs", minimum=1)
-        seed = _as_int(raw, "config", "seed", minimum=0)
-
-        hist = raw.get("rg_histogram_epochs", [])
-        if not isinstance(hist, list) or not all(_is_int(e) and e >= 1 for e in hist):
-            raise ConfigError("config.rg_histogram_epochs", "expected a list of epoch numbers")
-        if hist and max(hist) > epochs:
-            raise ConfigError("config.rg_histogram_epochs",
-                              f"epoch {max(hist)} is beyond the last epoch, {epochs}")
-
-        return cls(model=model, dataset=dataset, optimizer=optimizer, learners=learners,
-                   minibatch=minibatch, epochs=epochs, seed=seed, codec=codec,
-                   rg_histogram_epochs=list(hist))
+        checked = _check_object(raw, "config", TOP_LEVEL)
+        _check_cross_field_rules(checked)
+        return cls(**checked)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        text = Path(path).read_text()
+        """The config in the JSON file at `path`; a file that cannot be read raises OSError."""
         try:
-            raw = json.loads(text)
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise ConfigError("config", f"{path} is not UTF-8 text: {e}") from e
         except ValueError as e:  # a JSONDecodeError names the line; int() may cap a literal's digits
             raise ConfigError("config", f"invalid JSON: {e}") from e
         return cls.from_dict(raw)

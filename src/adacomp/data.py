@@ -4,9 +4,9 @@ generators (Gaussian mixtures and a digit-like 28x28 image task)."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +51,12 @@ def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
             found, *shape = struct.unpack(f">{1 + ndim}I", _read_exact(f, 4 + 4 * ndim, path))
             if found != magic:
                 raise DataError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
-            raw = _read_exact(f, math.prod(shape), path)
+            # a read reserves the size it is asked for, so check the header's claim first
+            claimed, held = math.prod(shape), os.fstat(f.fileno()).st_size - f.tell()
+            if claimed > held:
+                raise DataError(f"{path}: unexpected end of file: the header claims "
+                                f"{claimed} bytes of data, the file holds {held}")
+            raw = _read_exact(f, claimed, path)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from e
     return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
@@ -132,16 +137,3 @@ def _digit_prototype(task_seed: int, cls: int) -> np.ndarray:
     # soften block edges so shifted copies overlap smoothly
     img = (img + np.roll(img, 1, 0) + np.roll(img, 1, 1) + np.roll(img, -1, 0) + np.roll(img, -1, 1)) / 5.0
     return img
-
-
-def synth_digits_idx(n: int, seed: int, out_dir, noise: float = 0.35, shift: int = 2,
-                     split: str = "train", task_seed: int = 7) -> tuple[Path, Path]:
-    """Materialize a synth_digits draw as an IDX file pair; returns the paths."""
-    ds = synth_digits(n, seed, noise=noise, shift=shift, split=split, task_seed=task_seed)
-    u8 = np.round(ds.features.reshape(n, 28, 28) * 255.0).astype(np.uint8)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    img_path = out_dir / f"digits-{split}-images.idx"
-    lbl_path = out_dir / f"digits-{split}-labels.idx"
-    write_idx(u8, ds.labels, img_path, lbl_path)
-    return img_path, lbl_path

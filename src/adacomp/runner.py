@@ -8,7 +8,7 @@ import json
 import math
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import SCHEMA, ConfigError, ExperimentConfig
 from .data import DataError, Dataset, load_idx, synth_digits, synth_gaussians
 from .metrics import MetricsWriter, fmt, write_histogram_csv
 from .nn import build_cnn, build_mlp
@@ -177,7 +177,12 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig
 def sweep(cfg: ExperimentConfig, axis: str, values: list[int], out_dir) -> list[dict]:
     """One run per axis value; failures are recorded and the sweep continues.
     Writes sweep.csv with (value, final test error, mean compression rate,
-    status) and returns the row dicts."""
+    status) and returns the row dicts. An L_T sweep of a config whose codecs
+    take no bin size raises ConfigError before any run."""
+    if axis == "L_T" and not any("bin_size" in SCHEMA["codec"][entry["kind"]]
+                                 for entry in cfg.codec.values()):
+        raise ConfigError("codec", f"no codec takes a bin_size, so every L_T value would "
+                                   f"repeat one run: {cfg.codec}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

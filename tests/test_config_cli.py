@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,15 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
+from hypothesis.errors import NoSuchExample
 from hypothesis import strategies as st
 
 import adacomp
 from adacomp.cli import main
-from adacomp.codec import MAX_BIN_SIZE
-from adacomp.config import ConfigError, ExperimentConfig
-from adacomp.data import synth_digits_idx, write_idx
+from adacomp.config import (BOUNDS, DEFAULT_CODEC, REQUIRED, SCHEMA, TOP_LEVEL, ConfigError,
+                            ExperimentConfig)
+from adacomp.data import write_idx
 from adacomp.runner import sweep
+from digits_idx import synth_digits_idx
 
 
 def base_config(**overrides):
@@ -204,6 +207,39 @@ def test_cli_dataset_smaller_than_one_global_batch_exits_2(tmp_path, capsys, dat
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["latin1", "directory"])
+def test_cli_config_file_that_cannot_be_read_exits_2(tmp_path, capsys, damage):
+    path = write_config(tmp_path, base_config())
+    if damage == "latin1":
+        path.write_bytes(path.read_bytes().replace(b'"sgd"', "\"sgd\u00e9\"".encode("latin-1")))
+    else:
+        path.unlink()
+        path.mkdir()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "minibatch", "--values", "32"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+def test_cli_out_path_through_an_existing_file_exits_2_before_anything_is_built(
+        tmp_path, capsys, monkeypatch, command, below):
+    def build_nothing(cfg):
+        raise AssertionError("the data was built")
+    monkeypatch.setattr("adacomp.runner.build_datasets", build_nothing)
+    path = write_config(tmp_path, base_config())
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "o" if below else taken
+    assert main([command[0], "--config", str(path), "--out", str(out), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: {taken} is not a directory")
+    assert taken.read_text() == "kept"
 
 
 def test_module_entry_point_exit_codes(tmp_path):
@@ -475,6 +511,27 @@ def test_cli_sweep_bad_values(tmp_path, capsys):
                  "--values", "a,b", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("kind", [k for k, table in SCHEMA["codec"].items() if "bin_size" not in table])
+def test_cli_L_T_sweep_of_codecs_without_a_bin_size_exits_2_before_any_run(tmp_path, capsys, kind):
+    cfg = table_config("codec", kind)["codec"]["fc"]
+    path = write_config(tmp_path, base_config(codec={"conv": cfg, "fc": cfg}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--axis", "L_T",
+                 "--values", "8,32", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error at codec: no codec takes a bin_size")
+    assert not out.exists()
+
+
+def test_cli_sweep_of_repeated_values_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(codec={"fc": {"kind": "adacomp", "bin_size": 8}}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(path), "--axis", "L_T",
+                 "--values", "8,32,8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --values repeats [8]")
+    assert not out.exists()
+
+
 def test_cli_rerun_reproduces_metrics_bytes(tmp_path):
     cfg = base_config(codec={"fc": {"kind": "adacomp", "bin_size": 16}}, epochs=2)
     path = write_config(tmp_path, cfg)
@@ -497,68 +554,166 @@ def test_rg_histogram_export(tmp_path):
     assert len(lines) == 1 + 64 * 2
 
 
+# ------------------------------------------------------------------ schema
+
+# the fuzz's own caps, which keep every run tiny; every other bound is the table's
+CAPS = {"classes": 5, "dim": 11, "train": 64, "test": 32, "shift": 3, "task_seed": 3,
+        "hidden": 8, "conv_maps": 4, "fc_hidden": 8, "bin_size": 600, "learners": 4,
+        "epochs": 2, "seed": 2**32, "separation": 8.0, "noise": 1.0, "lr": 1.0, "eps": 1.0}
+# each bound: the direction its invalid values lie in, and whether the bound itself is valid
+EDGES = {"minimum": (-1, True), "maximum": (1, True), "above": (-1, False), "below": (1, False)}
+
+
+def edges(field):
+    """(value, valid) pairs at each of a table field's bounds: the last valid
+    value and the first invalid one."""
+    assert set(EDGES) == set(BOUNDS)
+    step = (lambda x, d: x + d) if field.type == "int" else (lambda x, d: math.nextafter(x, d * INF))
+    pairs = []
+    for bound, (out, inclusive) in EDGES.items():
+        limit = getattr(field, bound)
+        if limit is not None:
+            pairs += ([(limit, True), (step(limit, out), False)] if inclusive
+                      else [(step(limit, -out), True), (limit, False)])
+    return pairs
+
+
+def valid_value(field):
+    if field.type in ("int", "number"):
+        return next(value for value, valid in edges(field) if valid)
+    return {"ints": [1], "path": "unused.idx", "bool": False}[field.type]
+
+
+def table_config(section=None, kind=None):
+    """A valid config built from the table alone: the first kind of each
+    section, or `kind` for `section`, with each required field at a valid value."""
+    def entry(name):
+        k = kind if name == section else next(iter(SCHEMA[name]))
+        return {"kind": k, **{n: valid_value(f) for n, f in SCHEMA[name][k].items()
+                              if f.default is REQUIRED}}
+    cfg = {"codec": {layer: entry("codec") for layer in DEFAULT_CODEC}}
+    for name, field in TOP_LEVEL.items():
+        if field.type == "section" and field.default is REQUIRED:
+            cfg[name] = entry(name)
+        elif field.default is REQUIRED:
+            cfg[name] = valid_value(field)
+    return cfg
+
+
+BOUNDED = [(section, kind, name, field)
+           for section, kinds in {**SCHEMA, "config": {None: TOP_LEVEL}}.items()
+           for kind, table in kinds.items() for name, field in table.items()
+           if any(getattr(field, bound) is not None for bound in BOUNDS)]
+
+
+@pytest.mark.parametrize("section, kind, name, field", BOUNDED,
+                         ids=[".".join(filter(None, b[:3])) for b in BOUNDED])
+def test_every_bound_in_the_table_accepts_its_edge_and_names_the_field_past_it(
+        section, kind, name, field):
+    path = {"config": "config", "codec": "codec.fc"}.get(section, section)
+
+    def at_path(cfg):
+        return cfg if section == "config" else cfg["codec"]["fc"] if section == "codec" else cfg[section]
+
+    for value, valid in edges(field):
+        cfg = table_config(section, kind)
+        at_path(cfg)[name] = value
+        if valid:
+            assert at_path(asdict(ExperimentConfig.from_dict(cfg)))[name] == value
+        else:
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig.from_dict(cfg)
+            assert exc.value.field == f"{path}.{name}"
+
+
+def scale_factor_in_3_to_4(cfg):
+    """A fuzzed codec scale factor in (3, 4], other than the first float past 3."""
+    return any(isinstance(e.get("scale_factor"), float) and 3.0 < e["scale_factor"] <= 4.0
+               and e["scale_factor"] != math.nextafter(3.0, INF) for e in cfg["codec"].values())
+
+
+def test_a_bound_changed_in_the_table_moves_the_validator_and_the_fuzz(monkeypatch):
+    search = settings(max_examples=200, database=None, derandomize=True, phases=[Phase.generate])
+    find(_fuzz_configs(), scale_factor_in_3_to_4, settings=search)
+    table = SCHEMA["codec"]["adacomp"]
+    monkeypatch.setitem(table, "scale_factor", dataclasses.replace(table["scale_factor"], maximum=3.0))
+    cfg = table_config("codec", "adacomp")
+    cfg["codec"]["fc"]["scale_factor"] = 3.5
+    with pytest.raises(ConfigError, match="at codec.fc.scale_factor: must be <= 3.0, got 3.5"):
+        ExperimentConfig.from_dict(cfg)
+    with pytest.raises(NoSuchExample):
+        find(_fuzz_configs(), scale_factor_in_3_to_4, settings=search)
+
+
 # ------------------------------------------------------------------ fuzzing
 
-ODD_NUMBERS = st.sampled_from([0, -0.0, 1, -1, 1e-320, 5e-324, 1e308, -1e308, NAN, INF, -INF, HUGE])
+ODD_NUMBERS = [0, -0.0, 1, -1, 1e-320, 5e-324, 1e308, -1e308, NAN, INF, -INF, HUGE]
+
+
+def in_bounds(name, field):
+    """Values of a table field within its bounds and the fuzz's cap."""
+    if field.type == "ints":
+        return st.lists(st.integers(1, CAPS[name]), max_size=2)
+    low = field.above if field.minimum is None else field.minimum
+    high = min(b for b in (CAPS.get(name), field.maximum, field.below) if b is not None)
+    if field.type == "int":
+        return st.integers(low, high)
+    return st.floats(low, high, exclude_min=field.minimum is None, exclude_max=high == field.below)
+
+
+def odd_values(field):
+    """Values at or past a table field's bounds; for a number, non-finite or huge ones too."""
+    if field.type == "ints":
+        return st.sampled_from([[0], [True]])
+    return st.sampled_from([value for value, _ in edges(field)]
+                           + (ODD_NUMBERS if field.type == "number" else []))
 
 
 @st.composite
 def _fuzz_configs(draw):
-    """Configs around the space the validator accepts: both models, every
-    codec, both optimizers, both synthetic datasets, tiny sizes. One value in
-    ten is off the usual: a boundary, non-finite or huge number, or a model
-    field that does not fit the data."""
-    def usual(value, odd=ODD_NUMBERS):
-        return draw(odd if draw(st.integers(0, 9)) == 7 else value)
+    """Configs around the space the validator accepts, read from its table:
+    every model, codec and optimizer kind and every dataset kind that reads
+    no file, with each field within the table's bounds and the caps above.
+    One value in twenty is off the usual: at or just past one of the table's
+    bounds, non-finite or huge, or a model field that does not fit the data."""
+    def usual(value, odd):
+        return draw(odd if draw(st.integers(0, 19)) == 7 else value)
 
-    if draw(st.booleans()):
-        classes = draw(st.integers(2, 5))
-        dataset = {"kind": "gaussians", "classes": classes,
-                   "dim": draw(st.integers(classes, classes + 6)),
-                   "train": draw(st.integers(classes, 64)), "test": draw(st.integers(classes, 32)),
-                   "separation": usual(st.floats(0, 8))}
-        features = [dataset["dim"]]
-    else:
-        classes = 10
-        dataset = {"kind": "digits", "train": draw(st.integers(1, 64)),
-                   "test": draw(st.integers(1, 32)), "noise": usual(st.floats(0, 1)),
-                   "shift": draw(st.integers(0, 3)), "task_seed": draw(st.integers(0, 3))}
-        features = [1, 28, 28]
-    model_classes = usual(st.sampled_from([classes, classes + 1]), st.just(2))
-    images = len(features) == 3
-    # a cnn needs images: one on gaussians is an odd draw
-    if not usual(st.just(images and draw(st.booleans())), st.just(not images)):
-        model = {"kind": "mlp", "input_dim": usual(st.just(math.prod(features)), st.just(3)),
-                 "hidden": draw(st.lists(st.integers(1, 8), max_size=2)), "classes": model_classes}
-    else:
-        model = {"kind": "cnn", "in_maps": usual(st.just(1), st.just(2)),
-                 "conv_maps": draw(st.lists(st.integers(1, 4), max_size=2)),
-                 "fc_hidden": draw(st.integers(1, 8)), "classes": model_classes,
-                 "image_hw": usual(st.just([28, 28]), st.sampled_from([[16, 16], [6, 6]]))}
-    codecs = st.one_of(
-        st.fixed_dictionaries({"kind": st.just("adacomp"),
-                               "bin_size": st.one_of(st.integers(1, 600), st.just(MAX_BIN_SIZE)),
-                               "scale_factor": st.floats(1, 4)}),
-        st.fixed_dictionaries({"kind": st.just("ls"), "bin_size": st.integers(1, 600)}),
-        st.fixed_dictionaries({"kind": st.just("topk"), "fraction": st.floats(1e-6, 1)}),
-        st.fixed_dictionaries({"kind": st.sampled_from(["onebit", "identity"])}))
-    codec = {kind: draw(codecs) for kind in ("conv", "fc")}
-    for entry in codec.values():
-        for key in ("scale_factor", "fraction"):
-            if key in entry:
-                entry[key] = usual(st.just(entry[key]))
-    if draw(st.booleans()):
-        optimizer = {"kind": "sgd", "lr": usual(st.floats(0, 1)), "momentum": usual(st.floats(0, 1))}
-    else:
-        optimizer = {"kind": "adam", "lr": usual(st.floats(0, 0.1)),
-                     "beta1": usual(st.floats(0, 0.999)), "beta2": usual(st.floats(0, 0.9999)),
-                     "eps": usual(st.floats(1e-12, 1))}
-    learners = draw(st.integers(1, 4))
-    epochs = draw(st.integers(1, 2))
-    return {"model": model, "dataset": dataset, "optimizer": optimizer, "codec": codec,
-            "learners": learners, "minibatch": learners * draw(st.integers(1, 8)),
-            "epochs": epochs, "seed": draw(st.integers(0, 2**32)),
-            "rg_histogram_epochs": draw(st.lists(st.integers(1, epochs), max_size=2))}
+    def fields(table, **fit):
+        """Each field of a table drawn, or set by its `fit` function to fit the data."""
+        out = {}
+        for name, field in table.items():
+            out[name] = (fit[name](out) if name in fit
+                         else usual(in_bounds(name, field), odd_values(field)))
+        return out
+
+    def section(name, kind, **fit):
+        return {"kind": kind, **fields(SCHEMA[name][kind], **fit)}
+
+    kind = draw(st.sampled_from([k for k, table in SCHEMA["dataset"].items()
+                                 if all(f.type != "path" for f in table.values())]))
+    # the gaussians generator needs dim, train and test of at least classes
+    at_least_classes = {name: lambda c, name=name: usual(st.integers(c["classes"], CAPS[name]),
+                                                         st.just(c["classes"] - 1))
+                        for name in ("dim", "train", "test") if kind == "gaussians"}
+    dataset = section("dataset", kind, **at_least_classes)
+    classes = dataset.get("classes", 10)  # the digits are ten classes of 1x28x28 images
+    features = [dataset["dim"]] if "dim" in dataset else [1, 28, 28]
+    # a cnn needs images: one on vectors is an odd draw
+    kinds = list(SCHEMA["model"]) if len(features) == 3 else ["mlp"]
+    model = section("model", usual(st.sampled_from(kinds), st.sampled_from(list(SCHEMA["model"]))),
+                    input_dim=lambda _: usual(st.just(math.prod(features)), st.just(3)),
+                    in_maps=lambda _: usual(st.just(1), st.just(2)),
+                    classes=lambda _: usual(st.sampled_from([classes, classes + 1]), st.just(2)),
+                    image_hw=lambda _: usual(st.just([28, 28]), st.sampled_from([[16, 16], [6, 6]])))
+    codec = {layer: section("codec", draw(st.sampled_from(list(SCHEMA["codec"]))))
+             for layer in DEFAULT_CODEC}
+    optimizer = section("optimizer", draw(st.sampled_from(list(SCHEMA["optimizer"]))))
+    top = fields({name: f for name, f in TOP_LEVEL.items() if f.type != "section"},
+                 minibatch=lambda c: c["learners"] * draw(st.integers(1, 8)),
+                 rg_histogram_epochs=lambda c: draw(st.lists(st.integers(1, max(1, c["epochs"])),
+                                                             max_size=2)))
+    return {"model": model, "dataset": dataset, "optimizer": optimizer, "codec": codec, **top}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from adacomp.data import (
+    DataError,
     Dataset,
     load_idx,
     synth_digits,
-    synth_digits_idx,
     synth_gaussians,
     write_idx,
 )
 import one_rank
+from digits_idx import synth_digits_idx
 from oracles import synth_digits_reference
 
 
@@ -144,6 +145,19 @@ def test_digits_heap_peak_of_a_cnn_training_set():
     finally:
         tracemalloc.stop()
     assert peak <= 27 * 2**20
+
+
+@pytest.mark.parametrize("header", [struct.pack(">IIII", 0x803, 4, 2**31, 2**31),
+                                    struct.pack(">IIII", 0x803, 2**32 - 1, 2**32 - 1, 2**32 - 1),
+                                    struct.pack(">II", 0x801, 2**32 - 1)],
+                         ids=["images_2**64", "images_2**96", "labels_2**32"])
+def test_load_idx_size_claim_beyond_the_file_names_it_before_reading(tmp_path, header):
+    # the files are a few bytes long; only their headers claim more
+    img, lbl = build_idx_pair(tmp_path)
+    damaged = img if header[3] == 0x03 else lbl
+    damaged.write_bytes(header + bytes(16))
+    with pytest.raises(DataError, match=f"{damaged}: unexpected end of file: the header claims"):
+        load_idx(img, lbl)
 
 
 def test_digits_idx_materialization_roundtrip(tmp_path):
