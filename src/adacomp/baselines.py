@@ -55,7 +55,7 @@ def _seq_mean_f32(values: np.ndarray) -> np.float32:
     """Sequential float64 mean rounded once to the transmitted float32."""
     if values.size == 0:
         return np.float32(0.0)
-    return np.float32(np.cumsum(values.astype(np.float64))[-1] / values.size)
+    return np.float32(np.cumsum(values, dtype=np.float64)[-1] / values.size)
 
 
 def ls_pack(state: CodecState, dw: GradientVector, bin_size: int) -> tuple[PackedLayer, CodecState]:
@@ -78,24 +78,32 @@ def ls_pack(state: CodecState, dw: GradientVector, bin_size: int) -> tuple[Packe
 def topk_pack(state: CodecState, dw: GradientVector, fraction: float) -> tuple[TopKPacked, CodecState]:
     """Send the ceil(fraction * n) largest-|G| elements of the whole layer
     (ties to the lowest index), reconstructed as the mean of the selected
-    values of matching sign."""
+    values of matching sign. The input state is not mutated."""
+    residue = state.residue.copy()
+    return topk_pack_into(residue, np.empty_like(residue), dw, fraction), CodecState(residue=residue)
+
+
+def topk_pack_into(residue: np.ndarray, magnitudes: np.ndarray, dw: GradientVector,
+                   fraction: float) -> TopKPacked:
+    """``topk_pack`` on a float64 residue held in place: ``residue`` becomes
+    the successor residue and ``magnitudes``, an array of its shape, its
+    |residue|, bit for bit what ``np.abs`` gives."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if state.residue.shape != dw.values.shape:
+    if residue.shape != dw.values.shape:
         raise ValueError("residue/gradient shape mismatch")
-    g = np.add(state.residue, dw.values, dtype=np.float64)
-    indices = _top_k_indices(g, math.ceil(fraction * g.size))
+    g = np.add(residue, dw.values, out=residue)
+    indices = _top_k_indices(np.abs(g, out=magnitudes), math.ceil(fraction * g.size))
     sent = g[indices]
     positive = sent >= 0.0
     pos_scale = _seq_mean_f32(sent[positive])
     neg_scale = _seq_mean_f32(sent[~positive])
-    packed = TopKPacked(dw.layer_id, int(g.size), indices,
-                        np.where(positive, 1, -1).astype(np.int8),
-                        float(pos_scale), float(neg_scale))
-    # g is this call's own array: it becomes the new residue once the
-    # selected entries have their reconstruction taken off
-    g[indices] = sent - np.where(positive, np.float64(pos_scale), np.float64(neg_scale))
-    return packed, CodecState(residue=g)
+    # the selected entries have their reconstruction taken off
+    kept = sent - np.where(positive, np.float64(pos_scale), np.float64(neg_scale))
+    g[indices] = kept
+    magnitudes[indices] = np.abs(kept)
+    return TopKPacked(dw.layer_id, int(g.size), indices, np.where(positive, 1, -1).astype(np.int8),
+                      float(pos_scale), float(neg_scale))
 
 
 # one |g| in TOPK_SAMPLE_STRIDE estimates the top-k threshold of a layer;
@@ -106,27 +114,26 @@ def topk_pack(state: CodecState, dw: GradientVector, fraction: float) -> tuple[T
 TOPK_SAMPLE_STRIDE = 61
 
 
-def _top_k_indices(g: np.ndarray, k: int) -> np.ndarray:
-    """Increasing indices of the k largest |g|, ties to the lowest index and
-    NaN ranked below every number.
+def _top_k_indices(mag: np.ndarray, k: int) -> np.ndarray:
+    """Increasing indices of the k largest magnitudes ``mag`` (|g|), ties to
+    the lowest index and NaN ranked below every number.
 
-    A fixed-stride sample of |g| brackets the k-th largest value from
+    A fixed-stride sample of ``mag`` brackets the k-th largest value from
     below, at twice the sample rank the threshold is expected at, plus
-    four. The entries with |g| at or above the bracket hold every entry of
-    the selection whenever there are at least k of them, and then only they
+    four. The entries at or above the bracket hold every entry of the
+    selection whenever there are at least k of them, and then only they
     are partitioned. NaN never passes the bracket. With fewer than k
     candidates the whole layer is partitioned instead; both give the same
     indices.
     """
-    sample = np.abs(g[::TOPK_SAMPLE_STRIDE])
+    sample = mag[::TOPK_SAMPLE_STRIDE]
     rank = 2 * -(-k // TOPK_SAMPLE_STRIDE) + 4
     if rank <= sample.size:
         bracket = np.partition(sample, sample.size - rank)[sample.size - rank]
-        # |g| >= bracket without a full-size float temporary
-        candidates = np.flatnonzero((g >= bracket) | (g <= -bracket))
+        candidates = (mag >= bracket).nonzero()[0]
         if candidates.size >= k:
-            return candidates[_top_k_positions(np.abs(g[candidates]), k)]
-    return _top_k_positions(np.abs(g), k)
+            return candidates[_top_k_positions(mag[candidates], k)]
+    return _top_k_positions(mag, k)
 
 
 def _top_k_positions(a: np.ndarray, k: int) -> np.ndarray:
@@ -137,9 +144,9 @@ def _top_k_positions(a: np.ndarray, k: int) -> np.ndarray:
     key[np.isnan(key)] = np.inf
     threshold = np.partition(key, k - 1)[k - 1]
     selected = key < threshold
-    ties = np.flatnonzero(key == threshold)
+    ties = (key == threshold).nonzero()[0]
     selected[ties[:k - np.count_nonzero(selected)]] = True
-    return np.flatnonzero(selected)
+    return selected.nonzero()[0]
 
 
 def onebit_pack(state: CodecState, dw: GradientVector) -> tuple[OneBitPacked, CodecState]:

@@ -8,7 +8,8 @@ builds each run's config through the same checks as the loaded one, so a
 bad axis value is recorded in sweep.csv as a named config error and the
 sweep goes on.
 
-Exit codes: 0 on success; 2 for a bad config, argument or data file, with an
+Exit codes: 0 on success; 2 for a bad config, argument or data file, or a run
+that needs more memory than the host has (a ``MemoryError``), with an
 ``error: ...`` line on stderr; 3 when a run diverges.
 """
 
@@ -66,6 +67,10 @@ def main(argv=None) -> int:
             summary = run(cfg, out)
         except (ConfigError, DataError) as e:
             print(f"error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except MemoryError as e:
+            print(f"error: the run needs more memory than this host has: {e or 'MemoryError'}",
+                  file=sys.stderr)
             return EXIT_CONFIG
         diverged = summary["diverged"]
         if diverged:

@@ -24,12 +24,12 @@ adds over (b*oh, ow*out_maps) rows, the same float adds as over out_maps.
 ``Model.predict`` runs the layers below the fc head in slices of at least
 128 samples and keeps the bits of one whole-batch pass: ReLU and pool work
 element by element, and each conv output row is the product of its own im2col
-row, computed alike whatever the number of rows at these sizes. In the
-OpenBLAS build measured (0.3.31, one thread) a product rounds otherwise only
-with one output column, or with at most 1,200 outputs when K >= 50; a slice of
-128 samples gives a conv at least 512 rows, so convs of 3 or more maps are
-clear of both. An fc product has one row per sample, so fc 576->8 or 784->8
-on 128 samples rounds otherwise; the fc head runs on the whole batch.
+row, computed alike whatever the number of rows at these sizes. On OpenBLAS
+0.3.31's SkylakeX kernel (not Haswell's), at any thread count, a product rounds
+otherwise only with one output column, or with at most 1,200 outputs when
+K >= 50; a 128-sample slice gives a conv at least 512 rows, so convs of 3 or
+more maps are clear of both. An fc product has one row per sample, so fc
+576->8 or 784->8 on 128 samples rounds otherwise: the fc head runs unsliced.
 
 A model takes N ranks stacked on a leading axis, (N, b, ...) with (N, b)
 labels, one rank being N = 1; it returns N losses and, per parameterized

@@ -8,7 +8,9 @@ N packs, average them in the same rank order and apply the same update to
 the same weights. The cluster therefore holds one parameter set and one
 optimizer for all ranks, and N residues: one forward and one backward run
 over all ranks' shards at once, and each layer is averaged and updated once
-per step. The whole run is a pure function of (config, seed).
+per step. A layer's residues are one (N, size) matrix whose rows are the ranks'
+states, packed in place; its rg_p95 is taken as the layer is packed. The
+whole run is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .baselines import (
     ls_pack,
     onebit_pack,
     topk_pack,
+    topk_pack_into,
     unpack_dense,
     unpack_onebit,
     unpack_topk,
@@ -52,7 +55,7 @@ class DivergenceError(RuntimeError):
 def make_codec(kind: str, **params):
     """A ``(state, gv) -> (pack, state)`` callable for one codec kind, its
     parameters checked now. The callable looks the pack function up in this
-    module each time it runs."""
+    module each time it runs; the top-k one also has ``into`` (``in_place``)."""
     def adacomp(bin_size, scale_factor=2.0):
         cfg = BinConfig(bin_size=bin_size, scale_factor=scale_factor)
         return lambda state, gv: pack(state, gv, cfg)
@@ -65,7 +68,9 @@ def make_codec(kind: str, **params):
         fraction = float(fraction)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        return lambda state, gv: topk_pack(state, gv, fraction)
+        codec = lambda state, gv: topk_pack(state, gv, fraction)
+        codec.into = lambda res, mag, gv: topk_pack_into(res, mag, gv, fraction)
+        return codec
 
     def onebit():
         return lambda state, gv: onebit_pack(state, gv)
@@ -77,6 +82,21 @@ def make_codec(kind: str, **params):
     if kind not in table:
         raise ValueError(f"unknown codec kind {kind!r}")
     return table[kind](**params)
+
+
+def in_place(codec):
+    """``codec`` as a ``(residue, magnitudes, gv) -> pack`` callable that leaves
+    the successor residue in ``residue`` and its |residue| in ``magnitudes``:
+    the codec's own ``into``, else its pure pack with the successor copied in."""
+    if hasattr(codec, "into"):
+        return codec.into
+
+    def into(residue, magnitudes, gv):
+        packed, state = codec(CodecState(residue=residue), gv)
+        residue[...] = state.residue
+        np.abs(residue, out=magnitudes)
+        return packed
+    return into
 
 
 def to_dense(p) -> np.ndarray:
@@ -132,11 +152,14 @@ class Cluster:
 
     Every learner would hold the same weights and apply the same update, so
     the cluster holds one model and one optimizer; what each rank owns is
-    its shard of the batch and its residue per layer
-    (``codec_states[rank]``). A step runs one forward and one backward over
-    the N local batches stacked on a rank axis, packs each rank's checked
-    gradient row against its residues, and applies the rank-order float32
-    average of each layer's N packs with one optimizer update.
+    its shard of the batch and its residue per layer: row ``rank`` of the
+    layer's (N, size) float64 matrix ``residues[layer]``, which
+    ``codec_states[rank][layer].residue`` views. A step runs one forward and
+    one backward over the N local batches stacked on a rank axis, packs each
+    rank's checked gradient row into its residue row in place, and applies
+    the rank-order float32 average of each layer's N packs with one
+    optimizer update. A layer's rg_p95 is taken from the |residue| its packs
+    leave, as soon as it is packed: no residue changes later in the step.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
     ``make_codec`` callable; kinds left out run uncompressed.
@@ -165,8 +188,10 @@ class Cluster:
         self.layer_sizes = [sum(p.size for p in l.params()) for l in param_layers]
         identity = make_codec("identity")
         self.codecs = [codec_by_kind.get(l.kind, identity) for l in param_layers]
-        self.codec_states = [[CodecState.zeros(n) for n in self.layer_sizes]
-                             for _ in range(num_learners)]
+        self.pack_into = [in_place(c) for c in self.codecs]
+        self.residues = [np.zeros((num_learners, n)) for n in self.layer_sizes]
+        self.codec_states = [[CodecState(residue=m[rank]) for m in self.residues]
+                             for rank in range(num_learners)]
 
         self.epoch = 0
         self.global_step = 0
@@ -193,8 +218,9 @@ class Cluster:
                       f"non-finite gradient in layer {self.layer_names[col - 1]} on rank {rank}")
             raise DivergenceError(self.epoch, self.global_step, reason)
 
-    def _compute_and_pack(self) -> tuple[list[float], list[list]]:
-        """Every rank's losses and packs; the gradient rows are freed before the metrics run."""
+    def _compute_and_pack(self) -> tuple[list[float], list[list], list[float]]:
+        """Every rank's losses, each layer's packs in rank order, and each
+        layer's rg_p95; a layer's gradient matrix is freed once it is packed."""
         b, t = self.local_batch, self._step_in_epoch
         steps = self._shards.shape[1] // b
         if t >= steps:
@@ -204,23 +230,30 @@ class Cluster:
         self._step_in_epoch += 1
         losses, cache = self.model.forward(self.train.features[idx], self.train.labels[idx])
         grads = self.model.backward(cache)
+        del cache
         # checked before packing, so no residue takes in an inf or NaN
         self._check_finite(losses, grads)
-        all_packs = [[None] * len(grads) for _ in self.codec_states]
-        for rank, states in enumerate(self.codec_states):
-            for li, g in enumerate(grads):
-                all_packs[rank][li], states[li] = self.codecs[li](states[li], GradientVector(li, g[rank]))
-        return losses, all_packs
+        packed = [self._pack_layer(li, grads) for li in range(len(grads))]
+        return losses, [packs for packs, _ in packed], [p95 for _, p95 in packed]
+
+    def _pack_layer(self, li: int, grads: list) -> tuple[list, float]:
+        """The rank-order packs of layer li's gradient matrix, which leaves
+        ``grads``, and the 95th percentile of |residue| over every rank after."""
+        grad, grads[li] = grads[li], None
+        magnitudes = np.empty_like(self.residues[li])
+        packs = [self.pack_into[li](residue, mag, GradientVector(li, g))
+                 for residue, mag, g in zip(self.residues[li], magnitudes, grad)]
+        return packs, nearest_rank_percentile(magnitudes.reshape(-1), 95.0)
 
     def sync_step(self) -> StepMetrics:
-        losses, all_packs = self._compute_and_pack()
+        losses, all_packs, rg_p95 = self._compute_and_pack()
         # barrier: the exchange is lossless, so the rank-order average of
         # each layer is what every learner would compute
         grads: list[np.ndarray] = []
-        for li, size in enumerate(self.layer_sizes):
+        for li, (size, packs) in enumerate(zip(self.layer_sizes, all_packs)):
             acc = np.zeros(size, dtype=np.float32)
-            for packs in all_packs:
-                add_pack(acc, packs[li])
+            for p in packs:
+                add_pack(acc, p)
             acc /= np.float32(self.num_learners)
             grads.extend(split_vector(acc, self.param_shapes[li]))
         self.optimizer.update([p for l in self.model.param_layers for p in l.params()], grads)
@@ -230,12 +263,11 @@ class Cluster:
                                       f"non-finite weights in layer {name} after the update")
 
         self.global_step += 1
-        return self._metrics(losses, all_packs)
+        return self._metrics(losses, all_packs, rg_p95)
 
-    def _metrics(self, losses, all_packs) -> StepMetrics:
-        bits, rates, sel_mean, sel_max, rg_p95 = [], [], [], [], []
-        for li, size in enumerate(self.layer_sizes):
-            packs = [p[li] for p in all_packs]
+    def _metrics(self, losses, all_packs, rg_p95) -> StepMetrics:
+        bits, rates, sel_mean, sel_max = [], [], [], []
+        for size, packs in zip(self.layer_sizes, all_packs):
             counts = [p.bin_counts() if isinstance(p, PackedLayer) else None for p in packs]
             layer_bits = sum(payload_bits(p, c) for p, c in zip(packs, counts))
             bits.append(layer_bits)
@@ -245,18 +277,13 @@ class Cluster:
             counts = np.concatenate(counts) if counts else np.array([np.nan])
             sel_mean.append(float(np.mean(counts)))
             sel_max.append(float(np.max(counts)))
-            rg_p95.append(nearest_rank_percentile(self.pooled_abs_residue(li), 95.0))
         train_loss = sum(losses) / len(losses)
         return StepMetrics(self.global_step, self.epoch, float(train_loss),
                            bits, rates, sel_mean, sel_max, rg_p95)
 
     def pooled_abs_residue(self, layer_index: int) -> np.ndarray:
-        """|residue| of one layer over every rank, in rank order, as a new
-        flat array; each rank's |residue| is written straight into it."""
-        pooled = np.empty((self.num_learners, self.layer_sizes[layer_index]))
-        for row, states in zip(pooled, self.codec_states):
-            np.abs(states[layer_index].residue, out=row)
-        return pooled.reshape(-1)
+        """|residue| of one layer over every rank, in rank order, as a new flat array."""
+        return np.abs(self.residues[layer_index]).reshape(-1)
 
     def evaluate(self, test: Dataset) -> float:
         """Test error rate of the model, predicted 512 samples at a time."""

@@ -10,6 +10,7 @@ from adacomp.baselines import (
     ls_pack,
     onebit_pack,
     topk_pack,
+    topk_pack_into,
     unpack_dense,
     unpack_onebit,
     unpack_topk,
@@ -227,6 +228,42 @@ def test_topk_partitions_only_the_bracket_candidates(layer, fraction, partitione
         assert sizes == [residue.size]
     else:
         assert sizes[0] < residue.size // 4
+
+
+def assert_pack_into_matches(residue, dw, fraction):
+    """The in-place core on a copy of ``residue`` gives the pack and the
+    residue bits of ``topk_pack`` and of a reference, and leaves |residue| in
+    its magnitudes."""
+    gv = GradientVector(0, dw)
+    held, magnitudes = residue.copy(), np.full(residue.shape, -1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = topk_pack_into(held, magnitudes, gv, fraction)
+        pure, state = topk_pack(state_of(residue), gv, fraction)
+        if np.isfinite(residue).all():
+            ref = topk_pack_reference(residue, dw, fraction)
+        else:  # the reference's sort needs numbers
+            ref = argsort_topk_pack(residue + dw.astype(np.float64), int(np.ceil(fraction * dw.size)))
+    bits = lambda values: np.float64(values).view(np.uint64).tolist()
+    for want in ((pure.indices, pure.signs, pure.pos_scale, pure.neg_scale, state.residue), ref):
+        np.testing.assert_array_equal(p.indices, want[0])
+        np.testing.assert_array_equal(p.signs, want[1])
+        assert bits([p.pos_scale, p.neg_scale]) == bits(want[2:4])
+        assert bits(held) == bits(want[4])
+    assert bits(magnitudes) == bits(np.abs(held))
+
+
+@pytest.mark.parametrize("layer,fraction", [
+    (NOISE_LAYER, 0.01), (ON_STRIDE_LAYER, 0.05), (OFF_STRIDE_LAYER, 0.01), (NAN_STRIDE_LAYER, 0.01)],
+    ids=["noise", "on_stride", "off_stride", "nan_stride"])
+def test_topk_pack_into_matches_topk_pack_on_the_strided_layers(layer, fraction):
+    assert_pack_into_matches(*layer, fraction)
+
+
+@given(tie_heavy_layers(), st.sampled_from([0.001, 0.01, 0.3, 1.0]))
+@example((np.array([1.0, -1.0, 1.0, 0.0, -0.0, 2.0]), np.ones(6, np.float32)), 1.0)
+@settings(max_examples=60, deadline=None)
+def test_topk_pack_into_matches_topk_pack_on_tied_layers(case, fraction):
+    assert_pack_into_matches(*case, fraction)
 
 
 # ------------------------------------------------------------------- one-bit

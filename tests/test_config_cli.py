@@ -16,6 +16,7 @@ from hypothesis.errors import NoSuchExample
 from hypothesis import strategies as st
 
 import adacomp
+from adacomp import runner
 from adacomp.cli import main
 from adacomp.config import (BOUNDS, DEFAULT_CODEC, REQUIRED, SCHEMA, TOP_LEVEL, ConfigError,
                             ExperimentConfig)
@@ -505,6 +506,42 @@ def test_sweep_records_a_named_config_error_and_goes_on(tmp_path, axis, value, f
     assert (tmp_path / f"{axis}-{good}" / "metrics.csv").exists()
 
 
+def test_cli_run_that_needs_more_memory_than_the_host_has_exits_2(tmp_path, capsys, monkeypatch):
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(runner, "synth_gaussians", unable)
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the run needs more memory than this host has: "
+                   "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_records_a_run_out_of_memory_and_goes_on(tmp_path, monkeypatch):
+    run = runner.run
+
+    def short_of_memory_at_64(cfg, out_dir):
+        if cfg.minibatch == 64:
+            raise MemoryError("Unable to allocate 1.00 TiB")
+        return run(cfg, out_dir)
+
+    monkeypatch.setattr(runner, "run", short_of_memory_at_64)
+    rows = sweep(ExperimentConfig.from_dict(base_config()), "minibatch", [64, 32], tmp_path)
+    assert [r["status"] for r in rows] == ["error: Unable to allocate 1.00 TiB", "ok"]
+
+
+def test_sweep_lets_a_programming_error_propagate(tmp_path, monkeypatch):
+    def broken(cfg, out_dir):
+        raise RuntimeError("a bug inside one run")
+
+    monkeypatch.setattr(runner, "run", broken)
+    with pytest.raises(RuntimeError, match="a bug inside one run"):
+        sweep(ExperimentConfig.from_dict(base_config()), "minibatch", [32], tmp_path)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_cli_sweep_bad_values(tmp_path, capsys):
     path = write_config(tmp_path, base_config())
     assert main(["sweep", "--config", str(path), "--axis", "L_T",
@@ -722,4 +759,41 @@ def _fuzz_configs(draw):
 def test_cli_run_of_a_fuzzed_config_exits_0_2_or_3(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), cfg)
+        assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+
+
+# a valid config as compact JSON: a byte flip changes a number's digits but
+# cannot add one, so every run it leaves valid stays tiny
+VALID_CONFIG_BYTES = json.dumps(base_config(), separators=(",", ":")).encode()
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3\x28", b"\xe2\x82", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]
+
+
+@st.composite
+def _fuzz_config_bytes(draw):
+    """A valid config file truncated, with one or two bytes replaced (any
+    byte, or one digit by another, which keeps it JSON), or with a sequence
+    that is not UTF-8 inserted."""
+    data = bytearray(VALID_CONFIG_BYTES)
+    how = draw(st.sampled_from(["truncate", "flip", "digit", "not_utf8"]))
+    if how == "truncate":
+        return bytes(data[:draw(st.integers(0, len(data) - 1))])
+    if how in ("flip", "digit"):
+        digits = [i for i, b in enumerate(data) if chr(b).isdigit()]
+        for _ in range(draw(st.integers(1, 2))):
+            if how == "flip":
+                data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+            else:
+                data[draw(st.sampled_from(digits))] = draw(st.sampled_from(b"0123456789"))
+        return bytes(data)
+    at = draw(st.integers(0, len(data)))
+    return bytes(data[:at]) + draw(st.sampled_from(NOT_UTF8)) + bytes(data[at:])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True)
+@given(raw=_fuzz_config_bytes())
+def test_cli_run_of_fuzzed_config_bytes_exits_0_2_or_3(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(raw)
         assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)

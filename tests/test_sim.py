@@ -206,6 +206,21 @@ def test_rg_p95_matches_sorted_list_reference(codec_by_kind):
 
 
 @pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
+def test_residues_stay_rows_of_one_matrix_per_layer(codec_by_kind):
+    # every pack writes into the held (N, size) matrix of its layer; the
+    # rg_p95 taken from it is checked against the reference above
+    cluster = make_cluster(4, 16, codec_by_kind=codec_by_kind)
+    cluster.start_epoch(1)
+    for _ in range(5):
+        cluster.sync_step()
+        for rank, row in enumerate(cluster.codec_states):
+            for li, state in enumerate(row):
+                assert np.shares_memory(state.residue, cluster.residues[li])
+                assert_bitwise(state.residue, cluster.residues[li][rank])
+    assert not np.shares_memory(cluster.pooled_abs_residue(0), cluster.residues[0])
+
+
+@pytest.mark.parametrize("codec_by_kind", ALL_CODECS)
 def test_sync_step_unpacks_each_pack_once(codec_by_kind, monkeypatch):
     # every pack is added into its layer's average once; only the dense
     # kinds are expanded to a full layer for it
@@ -384,10 +399,10 @@ def test_metrics_count_each_pack_on_its_own_bins():
         idx = np.arange(entries, dtype=np.int64)
         return PackedLayer(layer, sizes[layer], sizes[layer], 0.5, idx, np.ones(entries, np.int8))
 
-    all_packs = [[packed(0, 300), packed(1, 3)], [packed(0, 10), packed(1, 40)]]
-    m = cluster._metrics([0.0, 0.0], all_packs)
-    assert m.payload_bits == [payload_bits(all_packs[0][li]) + payload_bits(all_packs[1][li])
-                              for li in range(2)]
+    # one list of rank-order packs per layer
+    all_packs = [[packed(0, 300), packed(0, 10)], [packed(1, 3), packed(1, 40)]]
+    m = cluster._metrics([0.0, 0.0], all_packs, [0.0, 0.0])
+    assert m.payload_bits == [payload_bits(packs[0]) + payload_bits(packs[1]) for packs in all_packs]
     assert (m.sel_mean, m.sel_max) == ([155.0, 21.5], [300.0, 40.0])
 
 
