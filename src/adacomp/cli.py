@@ -6,7 +6,7 @@
 Every input comes from the arguments and the files they name. A sweep
 builds each run's config through the same checks as the loaded one, so a
 bad axis value is recorded in sweep.csv as a named config error and the
-sweep goes on.
+sweep goes on; so is a run directory that cannot be made or written.
 
 Exit codes: 0 on success; 2 for a bad config, argument or data file, or a run
 that needs more memory than the host has (a ``MemoryError``), with an

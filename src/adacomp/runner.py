@@ -176,8 +176,8 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[int], out_dir) -> list[dict]:
     """One run per axis value; a run that stops with a config or data error,
-    or runs out of memory, is recorded and the sweep continues, and any other
-    error propagates. Writes sweep.csv with (value, final test error, mean
+    runs out of memory, or cannot make or write its directory (an OSError)
+    is recorded and the sweep continues, and any other error propagates. Writes sweep.csv with (value, final test error, mean
     compression rate, status) and returns the row dicts. An L_T sweep of a
     config whose codecs take no bin size raises ConfigError before any run."""
     if axis == "L_T" and not any("bin_size" in SCHEMA["codec"][entry["kind"]]
@@ -195,7 +195,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[int], out_dir) -> list[
             rows.append({"value": value, "final_test_error": summary["final_test_error"],
                          "mean_compression_rate": summary["mean_rate_overall"],
                          "status": status})
-        except (ConfigError, DataError, MemoryError) as e:
+        except (ConfigError, DataError, MemoryError, OSError) as e:
             rows.append({"value": value, "final_test_error": None,
                          "mean_compression_rate": None, "status": f"error: {e}"})
     with open(out_dir / "sweep.csv", "w", newline="") as fh:

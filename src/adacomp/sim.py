@@ -52,51 +52,56 @@ class DivergenceError(RuntimeError):
 
 # ------------------------------------------------------------------- codecs
 
-def make_codec(kind: str, **params):
-    """A ``(state, gv) -> (pack, state)`` callable for one codec kind, its
-    parameters checked now. The callable looks the pack function up in this
-    module each time it runs; the top-k one also has ``into`` (``in_place``)."""
+class Codec:
+    """One codec kind with its parameters checked. Called, it is the pure
+    pack, ``(state, gv) -> (pack, state)``. ``into(residue, magnitudes, gv)
+    -> pack`` packs against a float64 residue row held in place, leaving the
+    successor residue in ``residue`` and its |residue| in ``magnitudes``; a
+    kind without an in-place pack of its own runs the pure pack on the row
+    and copies the successor in."""
+
+    def __init__(self, pure, into=None):
+        self.pure = pure
+        self.into = into or self._copy_back
+
+    def __call__(self, state, gv):
+        return self.pure(state, gv)
+
+    def _copy_back(self, residue, magnitudes, gv):
+        packed, state = self.pure(CodecState(residue=residue), gv)
+        residue[...] = state.residue
+        np.abs(residue, out=magnitudes)
+        return packed
+
+
+def make_codec(kind: str, **params) -> Codec:
+    """The ``Codec`` of one kind, its parameters checked now. It looks the
+    pack function up in this module each time it runs."""
     def adacomp(bin_size, scale_factor=2.0):
         cfg = BinConfig(bin_size=bin_size, scale_factor=scale_factor)
-        return lambda state, gv: pack(state, gv, cfg)
+        return Codec(lambda state, gv: pack(state, gv, cfg))
 
     def ls(bin_size):
         bin_size = int(BinConfig(bin_size=bin_size).bin_size)
-        return lambda state, gv: ls_pack(state, gv, bin_size)
+        return Codec(lambda state, gv: ls_pack(state, gv, bin_size))
 
     def topk(fraction):
         fraction = float(fraction)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        codec = lambda state, gv: topk_pack(state, gv, fraction)
-        codec.into = lambda res, mag, gv: topk_pack_into(res, mag, gv, fraction)
-        return codec
+        return Codec(lambda state, gv: topk_pack(state, gv, fraction),
+                     lambda residue, mag, gv: topk_pack_into(residue, mag, gv, fraction))
 
     def onebit():
-        return lambda state, gv: onebit_pack(state, gv)
+        return Codec(lambda state, gv: onebit_pack(state, gv))
 
     def identity():
-        return lambda state, gv: identity_pack(state, gv)
+        return Codec(lambda state, gv: identity_pack(state, gv))
 
     table = {"adacomp": adacomp, "ls": ls, "topk": topk, "onebit": onebit, "identity": identity}
     if kind not in table:
         raise ValueError(f"unknown codec kind {kind!r}")
     return table[kind](**params)
-
-
-def in_place(codec):
-    """``codec`` as a ``(residue, magnitudes, gv) -> pack`` callable that leaves
-    the successor residue in ``residue`` and its |residue| in ``magnitudes``:
-    the codec's own ``into``, else its pure pack with the successor copied in."""
-    if hasattr(codec, "into"):
-        return codec.into
-
-    def into(residue, magnitudes, gv):
-        packed, state = codec(CodecState(residue=residue), gv)
-        residue[...] = state.residue
-        np.abs(residue, out=magnitudes)
-        return packed
-    return into
 
 
 def to_dense(p) -> np.ndarray:
@@ -162,7 +167,7 @@ class Cluster:
     leave, as soon as it is packed: no residue changes later in the step.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
-    ``make_codec`` callable; kinds left out run uncompressed.
+    ``Codec`` from ``make_codec``; kinds left out run uncompressed.
     """
 
     def __init__(self, build_model, train: Dataset, codec_by_kind: dict,
@@ -188,7 +193,6 @@ class Cluster:
         self.layer_sizes = [sum(p.size for p in l.params()) for l in param_layers]
         identity = make_codec("identity")
         self.codecs = [codec_by_kind.get(l.kind, identity) for l in param_layers]
-        self.pack_into = [in_place(c) for c in self.codecs]
         self.residues = [np.zeros((num_learners, n)) for n in self.layer_sizes]
         self.codec_states = [[CodecState(residue=m[rank]) for m in self.residues]
                              for rank in range(num_learners)]
@@ -241,7 +245,7 @@ class Cluster:
         ``grads``, and the 95th percentile of |residue| over every rank after."""
         grad, grads[li] = grads[li], None
         magnitudes = np.empty_like(self.residues[li])
-        packs = [self.pack_into[li](residue, mag, GradientVector(li, g))
+        packs = [self.codecs[li].into(residue, mag, GradientVector(li, g))
                  for residue, mag, g in zip(self.residues[li], magnitudes, grad)]
         return packs, nearest_rank_percentile(magnitudes.reshape(-1), 95.0)
 

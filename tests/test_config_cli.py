@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -540,6 +541,20 @@ def test_sweep_lets_a_programming_error_propagate(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="a bug inside one run"):
         sweep(ExperimentConfig.from_dict(base_config()), "minibatch", [32], tmp_path)
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_sweep_records_a_run_directory_it_cannot_make_and_goes_on(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "minibatch-32").write_text("a file where the run directory goes")
+    assert main(["sweep", "--config", str(path), "--axis", "minibatch",
+                 "--values", "32,64", "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    assert rows[0]["status"].startswith("error: [Errno 17] File exists")
+    assert str(out / "minibatch-32") in rows[0]["status"]
+    assert rows[1]["status"] == "ok"
+    assert "minibatch=32: test error -, rate - [error: " in capsys.readouterr().out
 
 
 def test_cli_sweep_bad_values(tmp_path, capsys):

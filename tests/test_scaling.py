@@ -11,10 +11,11 @@ scaling = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(scaling)
 
 
-def test_both_sides_time_every_model_and_learner_count(tmp_path, capsys):
+def test_both_sides_time_every_model_and_learner_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scaling, "ROUNDS", 1)
     out = tmp_path / "scaling.json"
-    assert scaling.main(["--parent", str(ROOT), "--learners", "1,2", "--warmup", "1",
-                         "--steps", "2", "--rounds", "1", "--out", str(out)]) == 0
+    assert scaling.main(["--parent", str(ROOT), "--learners", "1,2", "--steps", "3",
+                         "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert result["settings"]["learners"] == [1, 2]
     for side in ("parent", "change"):

@@ -521,6 +521,26 @@ def test_make_codec_registry():
         sim.to_dense(object())
 
 
+@pytest.mark.parametrize("kind, params", [("adacomp", {"bin_size": 7}), ("ls", {"bin_size": 7}),
+                                           ("topk", {"fraction": 0.1}), ("onebit", {}),
+                                           ("identity", {})])
+def test_every_codec_packs_in_place_as_its_pure_pack(kind, params):
+    # into leaves the pure pack's successor residue in the row and its |residue|
+    # in the magnitudes, over a few steps of the same residue
+    rng = np.random.default_rng(11)
+    codec = make_codec(kind, **params)
+    state = CodecState.zeros(300)
+    held, magnitudes = np.zeros(300), np.empty(300)
+    for _ in range(3):
+        gv = GradientVector(0, rng.standard_normal(300).astype(np.float32))
+        want, state = codec(state, gv)
+        got = codec.into(held, magnitudes, gv)
+        assert type(got) is type(want)
+        assert_bitwise(sim.to_dense(got), sim.to_dense(want))
+        assert_bitwise(held, state.residue)
+        assert_bitwise(magnitudes, np.abs(state.residue))
+
+
 def test_codecs_look_up_pack_functions_at_call_time(monkeypatch):
     # a name replaced on the module after make_codec is the one that runs
     gv = GradientVector(0, np.ones(20, dtype=np.float32))
