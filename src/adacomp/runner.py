@@ -175,11 +175,11 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value: int) -> ExperimentConfig
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[int], out_dir) -> list[dict]:
-    """One run per axis value; a run that stops with a config or data error,
-    runs out of memory, or cannot make or write its directory (an OSError)
-    is recorded and the sweep continues, and any other error propagates. Writes sweep.csv with (value, final test error, mean
-    compression rate, status) and returns the row dicts. An L_T sweep of a
-    config whose codecs take no bin size raises ConfigError before any run."""
+    """One run per axis value. A run that stops with a config, data, memory
+    or OS error (a run directory it cannot write) is a row and the sweep goes
+    on; any other error propagates. Writes sweep.csv with (value, final test
+    error, mean compression rate, status) and returns the rows. An L_T sweep
+    of codecs that take no bin size raises ConfigError before any run."""
     if axis == "L_T" and not any("bin_size" in SCHEMA["codec"][entry["kind"]]
                                  for entry in cfg.codec.values()):
         raise ConfigError("codec", f"no codec takes a bin_size, so every L_T value would "

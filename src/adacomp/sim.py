@@ -53,12 +53,10 @@ class DivergenceError(RuntimeError):
 # ------------------------------------------------------------------- codecs
 
 class Codec:
-    """One codec kind with its parameters checked. Called, it is the pure
-    pack, ``(state, gv) -> (pack, state)``. ``into(residue, magnitudes, gv)
-    -> pack`` packs against a float64 residue row held in place, leaving the
-    successor residue in ``residue`` and its |residue| in ``magnitudes``; a
-    kind without an in-place pack of its own runs the pure pack on the row
-    and copies the successor in."""
+    """One codec kind. Called, it is the pure pack, ``(state, gv) -> (pack,
+    state)``; ``into(residue, magnitudes, gv) -> pack`` packs into a float64
+    residue row in place and leaves its |residue| in ``magnitudes``, by
+    default by copying in the successor the pure pack returns."""
 
     def __init__(self, pure, into=None):
         self.pure = pure
@@ -75,8 +73,7 @@ class Codec:
 
 
 def make_codec(kind: str, **params) -> Codec:
-    """The ``Codec`` of one kind, its parameters checked now. It looks the
-    pack function up in this module each time it runs."""
+    """One kind's ``Codec``, its parameters checked; each call looks its pack function up here."""
     def adacomp(bin_size, scale_factor=2.0):
         cfg = BinConfig(bin_size=bin_size, scale_factor=scale_factor)
         return Codec(lambda state, gv: pack(state, gv, cfg))
@@ -191,8 +188,7 @@ class Cluster:
         self.layer_names = self.model.layer_names()
         self.param_shapes = [[p.shape for p in l.params()] for l in param_layers]
         self.layer_sizes = [sum(p.size for p in l.params()) for l in param_layers]
-        identity = make_codec("identity")
-        self.codecs = [codec_by_kind.get(l.kind, identity) for l in param_layers]
+        self.codecs = [codec_by_kind.get(l.kind, make_codec("identity")) for l in param_layers]
         self.residues = [np.zeros((num_learners, n)) for n in self.layer_sizes]
         self.codec_states = [[CodecState(residue=m[rank]) for m in self.residues]
                              for rank in range(num_learners)]
