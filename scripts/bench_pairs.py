@@ -1,4 +1,4 @@
-"""Run the benchmark as interleaved pairs of a parent and a change checkout.
+"""Run the benchmark as interleaved pairs of a parent checkout and this one.
 
   git worktree add ../adacomp-parent HEAD~
   python3 scripts/bench_pairs.py --parent ../adacomp-parent --workload cnn-n1 \\
@@ -14,7 +14,7 @@ result object. The script prints, for every metric the runs report, each
 pair's change/parent ratio, each side's median and quartiles (inclusive
 method), and in how many pairs the change was better by the direction
 ``BENCHMARK.json`` gives it. With ``--write PR`` it writes
-``BENCH_<PR>-parent.json`` and ``BENCH_<PR>-change.json`` into the change
+``BENCH_<PR>-parent.json`` and ``BENCH_<PR>-change.json`` into this
 checkout: each is the result object of that side's run at the lower median
 ``step_ms_p50`` (the 5th of 10).
 Exit code: 0 when every run checked correct, 1 when one did not, 2 when a
@@ -96,7 +96,6 @@ def lower_median_run(side_runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (default: this one)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, required=True)
@@ -108,10 +107,9 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if args.write is not None and args.trace:
         parser.error("--write needs --trace 0: traced runs report no step_ms_p50")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, path in checkouts.items():
-        if not (path / "perfbench" / "run.py").is_file():
-            parser.error(f"--{side} {path} has no perfbench/run.py")
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    if not (checkouts["parent"] / "perfbench" / "run.py").is_file():
+        parser.error(f"--parent {checkouts['parent']} has no perfbench/run.py")
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     status = 0

@@ -42,10 +42,6 @@ class GradientVector:
             raise ValueError("empty gradient vector")
         self.values = v
 
-    @property
-    def length(self) -> int:
-        return int(self.values.size)
-
 
 @dataclass
 class BinConfig:
@@ -83,6 +79,24 @@ class PackedLayer:
     indices: np.ndarray
     signs: np.ndarray
 
+    def __post_init__(self) -> None:
+        """Raise ValueError unless this is a pack that encode can write and
+        unpack can expand."""
+        if not 1 <= self.bin_size <= MAX_BIN_SIZE:
+            raise ValueError(f"invalid pack: bin_size {self.bin_size} outside 1..{MAX_BIN_SIZE}")
+        if self.element_count < 1:
+            raise ValueError(f"invalid pack: element_count {self.element_count} below 1")
+        if not 0.0 <= self.scale < np.inf:
+            raise ValueError(f"invalid pack: scale {self.scale} is not a finite value >= 0")
+        # a strictly increasing run's extremes are its ends, and a comparison
+        # cannot wrap the way an int64 difference can
+        idx = self.indices
+        if idx.ndim != 1 or idx.size and not (
+                idx[0] >= 0 and idx[-1] < self.element_count and (idx[1:] > idx[:-1]).all()):
+            raise ValueError("invalid pack: indices not strictly increasing inside [0, element_count)")
+        if self.signs.shape != idx.shape or not (np.abs(self.signs) == 1).all():
+            raise ValueError("invalid pack: need one sign of +1 or -1 per index")
+
     @property
     def num_bins(self) -> int:
         return -(-self.element_count // self.bin_size)
@@ -112,22 +126,6 @@ class PackedLayer:
                 and np.array_equal(self.indices, other.indices)
                 and np.array_equal(self.signs, other.signs))
 
-    def validate(self) -> None:
-        """Raise ValueError unless this is a pack that encode can write and
-        unpack can expand."""
-        if not 1 <= self.bin_size <= MAX_BIN_SIZE:
-            raise ValueError(f"invalid pack: bin_size {self.bin_size} outside 1..{MAX_BIN_SIZE}")
-        if self.element_count < 1:
-            raise ValueError(f"invalid pack: element_count {self.element_count} below 1")
-        if not 0.0 <= self.scale < np.inf:
-            raise ValueError(f"invalid pack: scale {self.scale} is not a finite value >= 0")
-        idx = self.indices
-        if idx.ndim != 1 or idx.size and not (
-                idx.min() >= 0 and idx.max() < self.element_count and (np.diff(idx) > 0).all()):
-            raise ValueError("invalid pack: indices not strictly increasing inside [0, element_count)")
-        if self.signs.shape != idx.shape or not (np.abs(self.signs) == 1).all():
-            raise ValueError("invalid pack: need one sign of +1 or -1 per index")
-
 
 @dataclass
 class CodecState:
@@ -146,10 +144,10 @@ class CodecState:
         return cls(residue=np.zeros(int(length), dtype=np.float64))
 
 
-def bin_maxima(g: GradientVector | np.ndarray, bin_size: int) -> np.ndarray:
+def bin_maxima(g: np.ndarray, bin_size: int) -> np.ndarray:
     """Largest absolute value in each bin; the last bin may be partial and is
     reduced over its true extent only."""
-    v = g.values if isinstance(g, GradientVector) else np.asarray(g)
+    v = np.asarray(g)
     if v.size == 0:
         raise ValueError("empty gradient vector")
     if bin_size < 1:
@@ -210,7 +208,6 @@ def pack(state: CodecState, dw: GradientVector, cfg: BinConfig) -> tuple[PackedL
 def unpack(p: PackedLayer) -> GradientVector:
     """Expand a packed layer to its dense float32 form: sign * scale at the
     packed positions, exact zero everywhere else."""
-    p.validate()
     out = np.zeros(p.element_count, dtype=np.float32)
     out[p.indices] = p.entry_values()
     return GradientVector(p.layer_id, out)

@@ -56,6 +56,10 @@ def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
             if claimed > held:
                 raise DataError(f"{path}: unexpected end of file: the header claims "
                                 f"{claimed} bytes of data, the file holds {held}")
+            # numpy refuses an array whose nonzero dims multiply past its limit,
+            # even one of no items; the loader makes 4-byte float32 pixels
+            if 4 * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:
+                raise DataError(f"{path}: the header's dims {shape} are too large for an array")
             raw = _read_exact(f, claimed, path)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror}") from e
@@ -76,17 +80,6 @@ def load_idx(path_images, path_labels, split: str = "train", num_classes: int = 
                        labels.astype(np.int64), split, num_classes)
     except ValueError as e:
         raise DataError(f"{path_labels}: {e}") from e
-
-
-def write_idx(images_u8: np.ndarray, labels: np.ndarray, path_images, path_labels) -> None:
-    """Write a [n, rows, cols] uint8 image stack and its labels as IDX files."""
-    n, rows, cols = images_u8.shape
-    with open(path_images, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images_u8.astype(np.uint8).tobytes())
-    with open(path_labels, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write(np.asarray(labels).astype(np.uint8).tobytes())
 
 
 def synth_gaussians(num_classes: int, dim: int, n: int, seed: int,

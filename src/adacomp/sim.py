@@ -118,9 +118,6 @@ def add_pack(acc: np.ndarray, p) -> None:
     """``acc += to_dense(p)`` without densifying a sparse pack. The bits are
     the same: a float32 sum that starts at +0.0 is never -0.0, so the +0.0
     that ``to_dense`` adds off the entries changes nothing."""
-    if isinstance(p, PackedLayer):
-        # a repeated index would drop an addition: check the pack, as unpack does
-        p.validate()
     if isinstance(p, (PackedLayer, TopKPacked)):
         acc[p.indices] += p.entry_values()
     else:

@@ -50,9 +50,8 @@ def entry_width_bytes(bin_size: int) -> int:
 
 
 def encode(p: PackedLayer) -> EncodedLayer:
-    """Serialize a packed layer; raises ValueError for an invalid pack or a
-    header field the layout cannot hold."""
-    p.validate()
+    """Serialize a packed layer; raises ValueError for a header field the
+    layout cannot hold."""
     if not 0 <= p.layer_id <= 0xFFFF:
         raise ValueError(f"invalid pack: layer_id {p.layer_id} does not fit in u16")
     if p.element_count > 0xFFFFFFFF:
@@ -116,9 +115,7 @@ def decode(e: EncodedLayer) -> PackedLayer:
         raise ValueError("corrupt entry: index outside its bin")
     indices = np.repeat(np.arange(num_bins, dtype=np.int64) * bin_size, counts) + local
     signs = np.where(code == CODE_PLUS, 1, -1).astype(np.int8)
-    p = PackedLayer(layer_id, element_count, bin_size, scale, indices, signs)
-    p.validate()
-    return p
+    return PackedLayer(layer_id, element_count, bin_size, scale, indices, signs)
 
 
 def effective_compression_rate(element_count: int, payload_bits: int) -> float:

@@ -35,11 +35,12 @@ def checkout(root: Path, side: str, base: float, order: Path) -> Path:
     return root / side
 
 
-def test_pairs_alternate_and_write_the_lower_median_run(tmp_path, capsys):
+def test_pairs_alternate_and_write_the_lower_median_run(tmp_path, capsys, monkeypatch):
     order = tmp_path / "order.txt"
     parent = checkout(tmp_path, "parent", 20.0, order)
     change = checkout(tmp_path, "change", 10.0, order)
-    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "cnn-n1",
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    assert bench_pairs.main(["--parent", str(parent), "--workload", "cnn-n1",
                              "--pairs", "4", "--seconds", "1", "--first-seed", "1", "--write", "99"]) == 0
     assert order.read_text().split("\n")[:-1] == [
         "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3", "change 4", "parent 4"]
@@ -53,13 +54,14 @@ def test_pairs_alternate_and_write_the_lower_median_run(tmp_path, capsys):
     assert json.loads((change / "BENCH_99-change.json").read_text())["metrics"]["step_ms_p50"]["value"] == 12.0
 
 
-def test_a_run_without_a_result_exits_2(tmp_path, capsys):
+def test_a_run_without_a_result_exits_2(tmp_path, capsys, monkeypatch):
     order = tmp_path / "order.txt"
     parent = checkout(tmp_path, "parent", 20.0, order)
     change = tmp_path / "change"
     (change / "perfbench").mkdir(parents=True)
     (change / "perfbench" / "run.py").write_text("print('no json here')\n")
-    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload", "cnn-n1",
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    assert bench_pairs.main(["--parent", str(parent), "--workload", "cnn-n1",
                              "--pairs", "2", "--seconds", "1", "--first-seed", "1"]) == 2
     assert "the change run gave no result" in capsys.readouterr().err
 

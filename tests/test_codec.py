@@ -60,9 +60,9 @@ def test_bin_maxima_partial_last_bin():
     assert bin_maxima(g, 2).tolist() == [3.0, 2.0, 0.25]
 
 
-def test_bin_maxima_accepts_gradient_vector():
+def test_bin_maxima_of_gradient_vector_values():
     gv = GradientVector(0, np.array([1.0, -2.0], np.float32))
-    assert bin_maxima(gv, 1).tolist() == [1.0, 2.0]
+    assert bin_maxima(gv.values, 1).tolist() == [1.0, 2.0]
 
 
 def test_bin_maxima_empty_errors():
@@ -169,14 +169,12 @@ def test_unpack_positions_across_bins():
 
 def test_unpack_rejects_index_outside_partial_bin():
     # element_count 6 with bin_size 4 leaves the last bin extent 2
-    p = packed_from_bins(0, 6, 4, 0.5, [[], [(3, 1)]])
     with pytest.raises(ValueError, match="invalid pack: indices"):
-        unpack(p)
+        packed_from_bins(0, 6, 4, 0.5, [[], [(3, 1)]])
     # in range at both ends, and every int64 step positive once it wraps
     wrapped = np.array([0, 2**63 - 1, -2**63, -1, 5], dtype=np.int64)
-    p = PackedLayer(0, 6, 4, 0.5, wrapped, np.ones(5, np.int8))
     with pytest.raises(ValueError, match="invalid pack: indices"):
-        unpack(p)
+        PackedLayer(0, 6, 4, 0.5, wrapped, np.ones(5, np.int8))
 
 
 def test_bins_view_and_equality():
@@ -192,7 +190,7 @@ def test_bins_view_and_equality():
                     packed_from_bins(2, 10, 4, 0.25, p.bins),
                     packed_from_bins(3, 10, 4, 0.5, p.bins),
                     packed_from_bins(2, 11, 4, 0.5, p.bins),
-                    packed_from_bins(2, 10, 5, 0.5, p.bins)):
+                    PackedLayer(2, 10, 5, 0.5, p.indices, p.signs)):
         assert p != changed
     assert p != p.bins
 
@@ -309,4 +307,4 @@ def test_gradient_vector_validation():
         GradientVector(0, np.zeros((2, 2), np.float32))
     gv = GradientVector(1, np.array([1.0, 2.0]))
     assert gv.values.dtype == np.float32
-    assert gv.length == 2
+    assert gv.values.size == 2

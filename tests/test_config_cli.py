@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -21,9 +22,9 @@ from adacomp import runner
 from adacomp.cli import main
 from adacomp.config import (BOUNDS, DEFAULT_CODEC, REQUIRED, SCHEMA, TOP_LEVEL, ConfigError,
                             ExperimentConfig)
-from adacomp.data import write_idx
+from adacomp.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from adacomp.runner import sweep
-from digits_idx import synth_digits_idx
+from digits_idx import synth_digits_idx, write_idx
 
 
 def base_config(**overrides):
@@ -296,6 +297,20 @@ def test_cli_bad_idx_file_exits_2_with_error(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(target) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dims", [(0, 2**32 - 1, 2**32 - 1), (0, 2**31, 2**31)],
+                         ids=["uint8", "float32"])
+def test_cli_idx_file_of_no_images_whose_dims_no_array_can_hold_exits_2(tmp_path, capsys, dims):
+    # numpy refuses the shape even with no items: as the file's own bytes, or as float32 pixels
+    cfg = idx_config(tmp_path)
+    img, lbl = Path(cfg["dataset"]["train_images"]), Path(cfg["dataset"]["train_labels"])
+    img.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, *dims))
+    lbl.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 0))
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {img}: the header's dims {list(dims)} are too large for an array\n"
 
 
 def test_cli_idx_run_succeeds(tmp_path):
@@ -812,3 +827,103 @@ def test_cli_run_of_fuzzed_config_bytes_exits_0_2_or_3(raw):
         path = Path(tmp) / "cfg.json"
         path.write_bytes(raw)
         assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 3)
+
+
+# IDX header fields at the edges: empty, one, and size claims of gigabytes
+# that only a few-byte file ever makes
+IDX_ODD_DIMS = [0, 1, 2**31, 2**32 - 1]
+
+
+def _fuzz_idx_bytes(draw, odd, magic, dims, payload):
+    """An IDX file of ``dims`` and ``payload``, each part now and then off the
+    usual: another magic, a dim at an edge, the payload truncated or extended,
+    or the header cut short."""
+    if odd():
+        magic = draw(st.sampled_from([IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC]) | st.integers(0, 2**32 - 1))
+    dims = [draw(st.sampled_from(IDX_ODD_DIMS)) if odd() else d for d in dims]
+    if odd():
+        payload = payload[:draw(st.integers(0, len(payload)))] + bytes(draw(st.integers(0, 3)))
+    header = struct.pack(f">{1 + len(dims)}I", magic, *dims)
+    if odd():
+        header = header[:draw(st.integers(0, len(header)))]
+    return header + payload
+
+
+@st.composite
+def _fuzz_idx_runs(draw):
+    """The four IDX files of a run around two well-formed pairs of tiny
+    images, and a config that reads them. Now and then a file is damaged as
+    `_fuzz_idx_bytes` does, a set holds 0 or 1 images, a label is at or above
+    `classes`, or the model does not fit the images."""
+    def odd():
+        return draw(st.integers(0, 19)) == 7
+
+    classes, rows, cols = draw(st.integers(2, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    files = {}
+    for split in ("train", "test"):
+        n = draw(st.integers(0, 1)) if odd() else draw(st.integers(6, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pixels = rng.integers(0, 256, n * rows * cols, dtype=np.uint8).tobytes()
+        labels = rng.integers(0, classes, n, dtype=np.uint8)
+        if n and odd():
+            labels[draw(st.integers(0, n - 1))] = draw(st.integers(classes, 255))
+        labels = labels.tobytes()
+        files[f"{split}_images"] = _fuzz_idx_bytes(draw, odd, IDX_IMAGES_MAGIC, [n, rows, cols], pixels)
+        files[f"{split}_labels"] = _fuzz_idx_bytes(draw, odd, IDX_LABELS_MAGIC, [n], labels)
+    hw = draw(st.sampled_from([[1, 1], [rows + 1, cols]])) if odd() else [rows, cols]
+    model = draw(st.sampled_from([
+        {"kind": "mlp", "input_dim": hw[0] * hw[1], "hidden": [4], "classes": classes},
+        {"kind": "cnn", "in_maps": 1, "conv_maps": [], "fc_hidden": 4, "classes": classes,
+         "image_hw": hw}]))
+    learners = draw(st.integers(1, 2))
+    cfg = base_config(model=model, learners=learners, minibatch=learners * draw(st.integers(1, 3)),
+                      dataset={"kind": "idx", "classes": draw(st.integers(2, 5)) if odd() else classes,
+                               "center": draw(st.booleans())})
+    return files, cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True)
+@given(case=_fuzz_idx_runs())
+def test_cli_run_of_fuzzed_idx_files_exits_0_2_or_3(tmp_path_factory, case):
+    files, cfg = case
+    tmp = tmp_path_factory.mktemp("idx")
+    for name, raw in files.items():
+        (tmp / f"{name}.idx").write_bytes(raw)
+        cfg["dataset"][name] = str(tmp / f"{name}.idx")
+    path = write_config(tmp, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp / "o")]) in (0, 2, 3)
+
+
+@st.composite
+def _fuzz_sweeps(draw):
+    """A sweep's codec, axis and --values around the space the validator
+    accepts: each axis's table bounds and the values just past them, the
+    divisors of the minibatch and values past the training set, huge ones,
+    repeats, and now and then a token that is not an integer."""
+    kind = draw(st.sampled_from(list(SCHEMA["codec"])))
+    codec = {"kind": kind, **{n: valid_value(f) for n, f in SCHEMA["codec"][kind].items()
+                              if f.default is REQUIRED}}
+    axis = draw(st.sampled_from(runner.SWEEP_AXES))
+    field = SCHEMA["codec"]["adacomp"]["bin_size"] if axis == "L_T" else TOP_LEVEL[axis]
+    near = sorted({value for value, _ in edges(field)} | {-1, 2, 3, 4, 8, 17, 2**63, 10**30})
+    values = [str(v) for v in draw(st.lists(st.sampled_from(near), min_size=1, max_size=3, unique=True))]
+    if draw(st.integers(0, 9)) == 7:
+        odd = st.sampled_from([values[0], "", " ", "x", "1.5", "0x10"])
+        values.insert(draw(st.integers(0, len(values))), draw(odd))
+    # 16 samples in minibatches of 8 for 2 learners: 2, 4 and 8 divide it, 17 is past the data
+    cfg = base_config(codec={"fc": codec}, minibatch=8,
+                      dataset={"kind": "gaussians", "classes": 4, "dim": 16, "train": 16, "test": 8})
+    return cfg, axis, ",".join(values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True)
+@given(case=_fuzz_sweeps())
+def test_cli_sweep_of_fuzzed_values_exits_0_2_or_3(tmp_path_factory, case):
+    cfg, axis, values = case
+    tmp = tmp_path_factory.mktemp("sweep")
+    path = write_config(tmp, cfg)
+    # "--values=-1,2": argparse takes a separate "-1,2" for an option
+    assert main(["sweep", "--config", str(path), "--axis", axis, f"--values={values}",
+                 "--out", str(tmp / "o")]) in (0, 2, 3)

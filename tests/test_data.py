@@ -10,10 +10,9 @@ from adacomp.data import (
     load_idx,
     synth_digits,
     synth_gaussians,
-    write_idx,
 )
 import one_rank
-from digits_idx import synth_digits_idx
+from digits_idx import synth_digits_idx, write_idx
 from oracles import synth_digits_reference
 
 

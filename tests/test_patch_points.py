@@ -1,42 +1,52 @@
 """Every name that the benchmark looks up on the program must stay
 resolvable, so that a refactor which drops one fails here and not only in
-a traced benchmark run (the list is ROADMAP's "Benchmark patch points")."""
+a traced benchmark run (ROADMAP's "Benchmark patch points").
+
+The names the tracer wraps are read from the benchmark itself: its
+``patch_layers`` runs against a recorder in place of the tracer."""
+
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import adacomp
-from adacomp import codec, metrics, nn, optim, runner, sim, wire
+from adacomp import codec, nn, optim, runner, sim, wire
 
-PATCH_POINTS = [
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+
+class _Recorder:
+    """Stands in for the tracer: notes each (owner, name) it is asked to patch."""
+
+    def __init__(self):
+        self.points = []
+
+    def patch(self, owner, attr, name, observe=None):
+        self.points.append((owner, attr))
+
+
+_recorder = _Recorder()
+workloads.patch_layers(_recorder, Counter())
+
+PATCH_POINTS = list(dict.fromkeys([
     # wrapped by the tracer in every traced run
-    *((sim, name) for name in (
-        "pack", "unpack", "ls_pack", "topk_pack", "onebit_pack", "identity_pack",
-        "unpack_topk", "unpack_onebit", "unpack_dense", "payload_bits",
-        "nearest_rank_percentile", "shard")),
-    *((adacomp, name) for name in ("pack", "unpack", "encode", "decode")),
-    (wire, "encode"),
-    (wire, "decode"),
-    (nn.Model, "forward"),
-    (nn.Model, "backward"),
-    (optim.SGDMomentum, "update"),
-    (optim.Adam, "update"),
-    (sim.Cluster, "evaluate"),
-    (sim.Cluster, "pooled_abs_residue"),
-    (metrics.MetricsWriter, "write_step"),
-    (metrics.MetricsWriter, "write_epoch"),
-    (runner, "synth_digits"),
-    (runner, "synth_gaussians"),
+    *_recorder.points,
     # wrapped or read in every run, traced or not
     (sim.Cluster, "sync_step"),
     (runner, "build_cluster"),
     (runner, "run"),
     *((sim.Cluster, name) for name in ("weights_identical", "steps_per_epoch", "layer_sizes")),
     # read by the codec round-trip workload
-    *((adacomp, name) for name in ("GradientVector", "CodecState", "BinConfig")),
+    *((adacomp, name) for name in ("GradientVector", "CodecState", "BinConfig",
+                                   "pack", "encode", "decode", "unpack")),
     (codec.CodecState, "zeros"),
     (codec.PackedLayer, "bins"),
+    (codec.PackedLayer, "num_bins"),
     (wire.EncodedLayer, "declared_bits"),
-]
+]))
 
 
 def _owner(owner, name):
@@ -49,8 +59,11 @@ def _owner(owner, name):
     return owner
 
 
-@pytest.mark.parametrize("owner, name", PATCH_POINTS,
-                         ids=[f"{getattr(o, '__name__', o)}.{n}" for o, n in PATCH_POINTS])
+def _id(owner, name):
+    return f"{getattr(owner, '__name__', owner)}.{name}"
+
+
+@pytest.mark.parametrize("owner, name", PATCH_POINTS, ids=[_id(o, n) for o, n in PATCH_POINTS])
 def test_patch_point_resolves(owner, name):
     assert getattr(_owner(owner, name), name) is not None
 

@@ -274,10 +274,11 @@ def test_add_pack_equals_the_sum_of_dense_packs_bitwise(order):
 
 
 def test_add_pack_rejects_a_repeated_index():
-    # a fancy-index += would add the repeated entry once, not twice
-    p = PackedLayer(0, 8, 4, 0.5, np.array([1, 1], np.int64), np.array([1, 1], np.int8))
+    # a fancy-index += would add the repeated entry once, not twice; such a
+    # pack is refused where it is built, before add_pack can see it
     with pytest.raises(ValueError, match="strictly increasing"):
-        sim.add_pack(np.zeros(8, np.float32), p)
+        sim.add_pack(np.zeros(8, np.float32),
+                     PackedLayer(0, 8, 4, 0.5, np.array([1, 1], np.int64), np.array([1, 1], np.int8)))
 
 
 def test_adacomp_weight_identity_over_100_steps():

@@ -96,9 +96,8 @@ def test_decode_rejects_bad_count_escape():
 
 
 def test_encode_index_width_exceeded():
-    p = packed_from_bins(0, 20000, 20000, 1.0, [[]])
     with pytest.raises(ValueError, match="bin_size 20000 outside 1..16384"):
-        encode(p)
+        packed_from_bins(0, 20000, 20000, 1.0, [[]])
 
 
 @pytest.mark.parametrize("pack, field", [
