@@ -52,10 +52,11 @@ class DensePacked:
 
 
 def _seq_mean_f32(values: np.ndarray) -> np.float32:
-    """Sequential float64 mean rounded once to the transmitted float32."""
+    """Sequential float64 mean from +0.0, rounded once to the transmitted float32."""
     if values.size == 0:
         return np.float32(0.0)
-    return np.float32(np.cumsum(values, dtype=np.float64)[-1] / values.size)
+    # cumsum starts from the first value; + 0.0 makes only a sum of -0.0s +0.0
+    return np.float32((np.cumsum(values, dtype=np.float64)[-1] + 0.0) / values.size)
 
 
 def ls_pack(state: CodecState, dw: GradientVector, bin_size: int) -> tuple[PackedLayer, CodecState]:

@@ -53,9 +53,10 @@ def _read_idx(path, magic: int, ndim: int) -> np.ndarray:
                 raise DataError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
             # a read reserves the size it is asked for, so check the header's claim first
             claimed, held = math.prod(shape), os.fstat(f.fileno()).st_size - f.tell()
-            if claimed > held:
-                raise DataError(f"{path}: unexpected end of file: the header claims "
-                                f"{claimed} bytes of data, the file holds {held}")
+            if claimed != held:
+                fault = "unexpected end of file" if claimed > held else "bytes past the data"
+                raise DataError(f"{path}: {fault}: the header claims {claimed} bytes of "
+                                f"data, the file holds {held}")
             # numpy refuses an array whose nonzero dims multiply past its limit,
             # even one of no items; the loader makes 4-byte float32 pixels
             if 4 * math.prod(d for d in shape if d) > np.iinfo(np.intp).max:

@@ -13,7 +13,7 @@ from .data import DataError, Dataset, load_idx, synth_digits, synth_gaussians
 from .metrics import MetricsWriter, fmt, write_histogram_csv
 from .nn import build_cnn, build_mlp
 from .optim import make_optimizer
-from .sim import Cluster, DivergenceError, make_codec
+from .sim import Cluster, DivergenceError, StepMetrics, make_codec
 from .wire import effective_compression_rate
 
 
@@ -106,11 +106,7 @@ def run(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     layer_names = cluster.layer_names
-    n_layers = len(layer_names)
-    rate_sums = [0.0] * n_layers
-    bits_sums = [0] * n_layers
-    overall_rate_sum = 0.0
-    steps_done = 0
+    steps: list[StepMetrics] = []
     test_error = None
     diverged = None
 
@@ -118,38 +114,32 @@ def run(cfg: ExperimentConfig, out_dir) -> dict:
     try:
         for epoch in range(1, cfg.epochs + 1):
             cluster.start_epoch(epoch)
-            epoch_losses = []
             for _ in range(cluster.steps_per_epoch):
-                m = cluster.sync_step()
-                writer.write_step(m)
-                epoch_losses.append(m.train_loss)
-                for i in range(n_layers):
-                    rate_sums[i] += m.rates[i]
-                    bits_sums[i] += m.payload_bits[i]
-                overall_rate_sum += effective_compression_rate(
-                    sum(cluster.layer_sizes) * cfg.learners, sum(m.payload_bits))
-                steps_done += 1
+                steps.append(cluster.sync_step())
+                writer.write_step(steps[-1])
             test_error = cluster.evaluate(test)
-            rg_p95 = [m.rg_p95[i] for i in range(n_layers)]
             writer.write_epoch(cluster.global_step, epoch,
-                               sum(epoch_losses) / len(epoch_losses), test_error, rg_p95)
+                               sum(m.train_loss for m in steps[-cluster.steps_per_epoch:])
+                               / cluster.steps_per_epoch, test_error, steps[-1].rg_p95)
             if epoch in cfg.rg_histogram_epochs:
-                pooled = [cluster.pooled_abs_residue(i) for i in range(n_layers)]
+                pooled = [cluster.pooled_abs_residue(i) for i in range(len(layer_names))]
                 write_histogram_csv(out_dir / f"rg_hist_epoch{epoch}.csv", layer_names, pooled)
     except DivergenceError as e:
         diverged = {"epoch": e.epoch, "step": e.step, "reason": e.reason}
     finally:
         writer.close()
 
+    elements = sum(cluster.layer_sizes) * cfg.learners
     summary = {
         "diverged": diverged,
         "final_test_error": test_error,
-        "steps": steps_done,
-        "mean_rate_per_layer": {
-            name: (rate_sums[i] / steps_done if steps_done else None)
-            for i, name in enumerate(layer_names)},
-        "total_payload_bits_per_layer": {name: bits_sums[i] for i, name in enumerate(layer_names)},
-        "mean_rate_overall": overall_rate_sum / steps_done if steps_done else None,
+        "steps": len(steps),
+        "mean_rate_per_layer": {name: sum(m.rates[i] for m in steps) / len(steps) if steps else None
+                                for i, name in enumerate(layer_names)},
+        "total_payload_bits_per_layer": {name: sum(m.payload_bits[i] for m in steps)
+                                         for i, name in enumerate(layer_names)},
+        "mean_rate_overall": sum(effective_compression_rate(elements, sum(m.payload_bits))
+                                 for m in steps) / len(steps) if steps else None,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

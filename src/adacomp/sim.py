@@ -7,9 +7,9 @@ simulated exchange is lossless, so every learner would decompress the same
 N packs, average them in the same rank order and apply the same update to
 the same weights. The cluster therefore holds one parameter set and one
 optimizer for all ranks, and N residues: one forward and one backward run
-over all ranks' shards at once, and each layer is averaged and updated once
-per step. A layer's residues are one (N, size) matrix whose rows are the ranks'
-states, packed in place; its rg_p95 is taken as the layer is packed. The
+over all ranks' shards at once. A step's pack pass packs every layer into
+its (N, size) residue matrix in place; its average-and-count pass averages
+each layer's packs and counts their bits, rate and entries per bin. The
 whole run is a pure function of (config, seed).
 """
 
@@ -154,11 +154,12 @@ class Cluster:
     its shard of the batch and its residue per layer: row ``rank`` of the
     layer's (N, size) float64 matrix ``residues[layer]``, which
     ``codec_states[rank][layer].residue`` views. A step runs one forward and
-    one backward over the N local batches stacked on a rank axis, packs each
-    rank's checked gradient row into its residue row in place, and applies
-    the rank-order float32 average of each layer's N packs with one
-    optimizer update. A layer's rg_p95 is taken from the |residue| its packs
-    leave, as soon as it is packed: no residue changes later in the step.
+    one backward over the N local batches stacked on a rank axis. The pack
+    pass packs each rank's gradient row into its residue row in place and
+    takes each layer's rg_p95 from the |residue| left; the average-and-count
+    pass adds each layer's N packs in rank order, divides the float32 sum by
+    N and appends the layer's bits, rate and entries per bin to the step's
+    ``StepMetrics``. One optimizer update applies the averages.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
     ``Codec`` from ``make_codec``; kinds left out run uncompressed.
@@ -215,9 +216,7 @@ class Cluster:
                       f"non-finite gradient in layer {self.layer_names[col - 1]} on rank {rank}")
             raise DivergenceError(self.epoch, self.global_step, reason)
 
-    def _compute_and_pack(self) -> tuple[list[float], list[list], list[float]]:
-        """Every rank's losses, each layer's packs in rank order, and each
-        layer's rg_p95; a layer's gradient matrix is freed once it is packed."""
+    def sync_step(self) -> StepMetrics:
         b, t = self.local_batch, self._step_in_epoch
         steps = self._shards.shape[1] // b
         if t >= steps:
@@ -230,53 +229,42 @@ class Cluster:
         del cache
         # checked before packing, so no residue takes in an inf or NaN
         self._check_finite(losses, grads)
-        packed = [self._pack_layer(li, grads) for li in range(len(grads))]
-        return losses, [packs for packs, _ in packed], [p95 for _, p95 in packed]
-
-    def _pack_layer(self, li: int, grads: list) -> tuple[list, float]:
-        """The rank-order packs of layer li's gradient matrix, which leaves
-        ``grads``, and the 95th percentile of |residue| over every rank after."""
-        grad, grads[li] = grads[li], None
-        magnitudes = np.empty_like(self.residues[li])
-        packs = [self.codecs[li].into(residue, mag, GradientVector(li, g))
-                 for residue, mag, g in zip(self.residues[li], magnitudes, grad)]
-        return packs, nearest_rank_percentile(magnitudes.reshape(-1), 95.0)
-
-    def sync_step(self) -> StepMetrics:
-        losses, all_packs, rg_p95 = self._compute_and_pack()
+        # pack every layer before averaging any, which is faster; a layer's gradient
+        # matrix and magnitudes go once its rg_p95 is taken, before the next allocates
+        all_packs, rg_p95 = [], []
+        for li, residues in enumerate(self.residues):
+            grad, grads[li] = grads[li], None
+            magnitudes = np.empty_like(residues)
+            all_packs.append([self.codecs[li].into(residue, mag, GradientVector(li, g))
+                              for residue, mag, g in zip(residues, magnitudes, grad)])
+            rg_p95.append(nearest_rank_percentile(magnitudes.reshape(-1), 95.0))
+            del grad, magnitudes
         # barrier: the exchange is lossless, so the rank-order average of
         # each layer is what every learner would compute
-        grads: list[np.ndarray] = []
+        m = StepMetrics(self.global_step + 1, self.epoch, float(sum(losses) / len(losses)),
+                        [], [], [], [], rg_p95)
+        averaged: list[np.ndarray] = []
         for li, (size, packs) in enumerate(zip(self.layer_sizes, all_packs)):
             acc = np.zeros(size, dtype=np.float32)
             for p in packs:
                 add_pack(acc, p)
             acc /= np.float32(self.num_learners)
-            grads.extend(split_vector(acc, self.param_shapes[li]))
-        self.optimizer.update([p for l in self.model.param_layers for p in l.params()], grads)
+            averaged.extend(split_vector(acc, self.param_shapes[li]))
+            counts = [p.bin_counts() if isinstance(p, PackedLayer) else None for p in packs]
+            m.payload_bits.append(sum(payload_bits(p, c) for p, c in zip(packs, counts)))
+            m.rates.append(effective_compression_rate(size * self.num_learners, m.payload_bits[-1]))
+            # entries per bin over the packs that have bins; NaN without any
+            counts = [c for c in counts if c is not None]
+            counts = np.concatenate(counts) if counts else np.array([np.nan])
+            m.sel_mean.append(float(np.mean(counts)))
+            m.sel_max.append(float(np.max(counts)))
+        self.optimizer.update([p for l in self.model.param_layers for p in l.params()], averaged)
         for name, layer in zip(self.layer_names, self.model.param_layers):
             if not all(np.isfinite(p).all() for p in layer.params()):
                 raise DivergenceError(self.epoch, self.global_step,
                                       f"non-finite weights in layer {name} after the update")
-
         self.global_step += 1
-        return self._metrics(losses, all_packs, rg_p95)
-
-    def _metrics(self, losses, all_packs, rg_p95) -> StepMetrics:
-        bits, rates, sel_mean, sel_max = [], [], [], []
-        for size, packs in zip(self.layer_sizes, all_packs):
-            counts = [p.bin_counts() if isinstance(p, PackedLayer) else None for p in packs]
-            layer_bits = sum(payload_bits(p, c) for p, c in zip(packs, counts))
-            bits.append(layer_bits)
-            rates.append(effective_compression_rate(size * self.num_learners, layer_bits))
-            # entries per bin over the packs that have bins; NaN without any
-            counts = [c for c in counts if c is not None]
-            counts = np.concatenate(counts) if counts else np.array([np.nan])
-            sel_mean.append(float(np.mean(counts)))
-            sel_max.append(float(np.max(counts)))
-        train_loss = sum(losses) / len(losses)
-        return StepMetrics(self.global_step, self.epoch, float(train_loss),
-                           bits, rates, sel_mean, sel_max, rg_p95)
+        return m
 
     def pooled_abs_residue(self, layer_index: int) -> np.ndarray:
         """|residue| of one layer over every rank, in rank order, as a new flat array."""

@@ -146,7 +146,7 @@ def argsort_topk_pack(g, k):
     signs = np.where(g[indices] >= 0.0, 1, -1).astype(np.int8)
     scales = []
     for side in (g[indices[signs == 1]], g[indices[signs == -1]]):
-        scales.append(np.float32(np.cumsum(side)[-1] / side.size) if side.size else np.float32(0.0))
+        scales.append(np.float32((np.cumsum(side)[-1] + 0.0) / side.size) if side.size else np.float32(0.0))
     recon = np.zeros(g.size, dtype=np.float64)
     recon[indices] = np.where(signs == 1, np.float64(scales[0]), np.float64(scales[1]))
     selected = np.zeros(g.size, dtype=bool)
@@ -261,6 +261,8 @@ def test_topk_pack_into_matches_topk_pack_on_the_strided_layers(layer, fraction)
 
 @given(tie_heavy_layers(), st.sampled_from([0.001, 0.01, 0.3, 1.0]))
 @example((np.array([1.0, -1.0, 1.0, 0.0, -0.0, 2.0]), np.ones(6, np.float32)), 1.0)
+# every positive-side value sent is -0.0: its mean is +0.0, as a sum from +0.0 gives
+@example((np.array([-0.0]), np.array([-0.0], np.float32)), 0.001)
 @settings(max_examples=60, deadline=None)
 def test_topk_pack_into_matches_topk_pack_on_tied_layers(case, fraction):
     assert_pack_into_matches(*case, fraction)
@@ -292,6 +294,9 @@ def test_onebit_all_zero():
 
 
 @given(codec_cases())
+# every value on the positive side is -0.0: its mean is +0.0, as a sum from +0.0 gives
+@example((np.array([-0.0], np.float32), np.array([-0.0], np.float32)))
+@example((np.array([-0.0, -1.0, -0.0], np.float32), np.array([-0.0, 0.0, 0.0], np.float32)))
 @settings(max_examples=150)
 def test_onebit_matches_reference(case):
     residue, dw = case
@@ -299,9 +304,10 @@ def test_onebit_matches_reference(case):
     packed, new_state = onebit_pack(st_, GradientVector(0, dw))
     bits, pos, neg, ref_res = onebit_pack_reference(st_.residue, dw)
     np.testing.assert_array_equal(packed.bits, bits)
-    assert packed.pos_scale == pos
-    assert packed.neg_scale == neg
-    np.testing.assert_array_equal(new_state.residue, ref_res)
+    # bitwise, so that the sign of a zero counts
+    np.testing.assert_array_equal(np.float64([packed.pos_scale, packed.neg_scale]).view(np.uint64),
+                                  np.float64([pos, neg]).view(np.uint64))
+    np.testing.assert_array_equal(new_state.residue.view(np.uint64), ref_res.view(np.uint64))
 
 
 @pytest.mark.parametrize("pos, neg", [(0.75, -1.5), (0.0, -0.0), (-0.0, 0.0), (-0.0, -2.0),
@@ -318,9 +324,9 @@ def test_onebit_unpack_matches_np_where_bitwise(pos, neg):
 
 @pytest.mark.parametrize("residue, scales", [
     (np.random.default_rng(43).standard_normal(1000), None),
-    (np.array([-0.0, -0.0, -1.0, -3.0]), (-0.0, -2.0)),
+    (np.array([-0.0, -0.0, -1.0, -3.0]), (0.0, -2.0)),   # a mean of -0.0s is +0.0
     (np.array([-0.0, 0.0, 2.0]), (2 / 3, 0.0)),    # no negatives
-    (np.array([-0.0, -0.0]), (-0.0, 0.0)),
+    (np.array([-0.0, -0.0]), (0.0, 0.0)),
     (np.array([-1.0, -2.0]), (0.0, -1.5))])       # no non-negatives
 def test_onebit_residue_matches_np_where_bitwise(residue, scales):
     # a -0.0 gradient keeps a -0.0 residue's sign in G

@@ -313,6 +313,21 @@ def test_cli_idx_file_of_no_images_whose_dims_no_array_can_hold_exits_2(tmp_path
     assert err == f"error: {img}: the header's dims {list(dims)} are too large for an array\n"
 
 
+@pytest.mark.parametrize("which, extra", [("train_images", 784), ("train_labels", 1)],
+                         ids=["one_image_more", "one_label_more"])
+def test_cli_idx_file_holding_more_than_its_header_claims_exits_2(tmp_path, capsys, which, extra):
+    cfg = idx_config(tmp_path)
+    target = Path(cfg["dataset"][which])
+    data = target.read_bytes()
+    target.write_bytes(data + bytes(extra))
+    header = 16 if which == "train_images" else 8
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {target}: bytes past the data: the header claims {len(data) - header} bytes "
+        f"of data, the file holds {len(data) - header + extra}\n")
+
+
 def test_cli_idx_run_succeeds(tmp_path):
     path = write_config(tmp_path, idx_config(tmp_path))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -588,6 +603,19 @@ def test_cli_L_T_sweep_of_codecs_without_a_bin_size_exits_2_before_any_run(tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: config error at codec: no codec takes a bin_size")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["-1,2", "-4", "-x"])
+def test_cli_sweep_reads_values_that_start_with_a_dash_in_either_form(tmp_path, capsys, values):
+    path = write_config(tmp_path, base_config())
+    outcomes = []
+    for form in ([f"--values={values}"], ["--values", values]):
+        out = tmp_path / f"o{len(outcomes)}"
+        code = main(["sweep", "--config", str(path), "--axis", "learners", *form, "--out", str(out)])
+        rows = (out / "sweep.csv").read_text() if code == 0 else None
+        outcomes.append((code, rows, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (2 if values == "-x" else 0)
 
 
 def test_cli_sweep_of_repeated_values_exits_2(tmp_path, capsys):
@@ -924,6 +952,5 @@ def test_cli_sweep_of_fuzzed_values_exits_0_2_or_3(tmp_path_factory, case):
     cfg, axis, values = case
     tmp = tmp_path_factory.mktemp("sweep")
     path = write_config(tmp, cfg)
-    # "--values=-1,2": argparse takes a separate "-1,2" for an option
     assert main(["sweep", "--config", str(path), "--axis", axis, f"--values={values}",
                  "--out", str(tmp / "o")]) in (0, 2, 3)

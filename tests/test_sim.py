@@ -400,9 +400,19 @@ def test_metrics_count_each_pack_on_its_own_bins():
         idx = np.arange(entries, dtype=np.int64)
         return PackedLayer(layer, sizes[layer], sizes[layer], 0.5, idx, np.ones(entries, np.int8))
 
-    # one list of rank-order packs per layer
+    # one list of rank-order packs per layer, handed out in the order the
+    # step packs: layer 0 ranks 0-1, then layer 1
     all_packs = [[packed(0, 300), packed(0, 10)], [packed(1, 3), packed(1, 40)]]
-    m = cluster._metrics([0.0, 0.0], all_packs, [0.0, 0.0])
+    handed = iter([p for packs in all_packs for p in packs])
+
+    def into(residue, magnitudes, gv):
+        magnitudes[...] = 0.0
+        return next(handed)
+
+    cluster.codecs = [sim.Codec(None, into)] * len(sizes)
+    cluster.start_epoch(1)
+    m = cluster.sync_step()
+    assert next(handed, None) is None
     assert m.payload_bits == [payload_bits(packs[0]) + payload_bits(packs[1]) for packs in all_packs]
     assert (m.sel_mean, m.sel_max) == ([155.0, 21.5], [300.0, 40.0])
 
