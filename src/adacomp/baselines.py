@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodecState, GradientVector, PackedLayer, _pack_selected, bin_maxima, layer_scale
+from .codec import unpack as unpack_topk  # a top-k pack expands as a PackedLayer does
 
 
 @dataclass
@@ -174,12 +175,6 @@ def identity_pack(state: CodecState, dw: GradientVector) -> tuple[DensePacked, C
         raise ValueError("residue/gradient shape mismatch")
     packed = DensePacked(dw.layer_id, dw.values.copy())
     return packed, CodecState(residue=state.residue.copy())
-
-
-def unpack_topk(p: TopKPacked) -> GradientVector:
-    out = np.zeros(p.element_count, dtype=np.float32)
-    out[p.indices] = p.entry_values()
-    return GradientVector(p.layer_id, out)
 
 
 def unpack_onebit(p: OneBitPacked) -> GradientVector:

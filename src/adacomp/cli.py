@@ -44,8 +44,9 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--out", default="sweep-out", help="output directory")
 
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes the "-1,2" of "--values -1,2" for an option: read "--values=-1,2"
-    i = argv.index("--values") if "--values" in argv[:-1] else -1
+    # argparse takes the "-1,2" of "--values -1,2" for an option: read "--values=-1,2";
+    # so too after "--v" to "--value", the prefixes argparse reads as --values
+    i = next((i for i, a in enumerate(argv[:-1]) if len(a) > 2 and "--values".startswith(a)), -1)
     if i >= 0 and not argv[i + 1].startswith("--"):
         argv[i:i + 2] = [f"--values={argv[i + 1]}"]
     args = parser.parse_args(argv)

@@ -9,12 +9,12 @@ was not sent, and the quantization error of what was, stays in the residue
 and is retried on the next step.
 
 A pack holds the increasing layer positions of the sent elements and their
-signs as two flat arrays; bins are derived from the positions, not stored.
+signs as two flat arrays; its entries per bin are counted once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,8 @@ class PackedLayer:
     increasing (int64), and ``signs`` the code of each (int8): +1/-1
     reconstructs to +scale/-scale. Bin b is positions [b * bin_size,
     (b + 1) * bin_size) cut at element_count; its entries are the indices
-    inside it.
+    inside it. ``counts``, the entries in each bin, is set once the checks
+    pass, not passed in: wire size and entries per bin are read off it.
     """
 
     layer_id: int
@@ -78,6 +79,7 @@ class PackedLayer:
     scale: float  # float32-representable, finite, >= 0
     indices: np.ndarray
     signs: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         """Raise ValueError unless this is a pack that encode can write and
@@ -96,6 +98,7 @@ class PackedLayer:
             raise ValueError("invalid pack: indices not strictly increasing inside [0, element_count)")
         if self.signs.shape != idx.shape or not (np.abs(self.signs) == 1).all():
             raise ValueError("invalid pack: need one sign of +1 or -1 per index")
+        self.counts = np.bincount(idx // self.bin_size, minlength=self.num_bins)
 
     @property
     def num_bins(self) -> int:
@@ -103,9 +106,6 @@ class PackedLayer:
 
     def entry_count(self) -> int:
         return int(self.indices.size)
-
-    def bin_counts(self) -> np.ndarray:
-        return np.bincount(self.indices // self.bin_size, minlength=self.num_bins)
 
     def entry_values(self) -> np.ndarray:
         """The float32 value each entry reconstructs to: +scale or -scale."""
@@ -116,7 +116,7 @@ class PackedLayer:
     def bins(self) -> list[list[tuple[int, int]]]:
         """Read-only view: per bin, its (index within bin, sign) entries."""
         entries = list(zip((self.indices % self.bin_size).tolist(), self.signs.tolist()))
-        ends = np.cumsum(self.bin_counts()).tolist()
+        ends = np.cumsum(self.counts).tolist()
         return [entries[a:b] for a, b in zip([0] + ends, ends)]
 
     def __eq__(self, other) -> bool:
@@ -205,9 +205,9 @@ def pack(state: CodecState, dw: GradientVector, cfg: BinConfig) -> tuple[PackedL
     return _pack_selected(dw.layer_id, cfg.bin_size, g, np.flatnonzero(selected), scale)
 
 
-def unpack(p: PackedLayer) -> GradientVector:
-    """Expand a packed layer to its dense float32 form: sign * scale at the
-    packed positions, exact zero everywhere else."""
+def unpack(p) -> GradientVector:
+    """Expand a ``PackedLayer`` or top-k pack to its dense float32 form: each
+    entry's value at its position, exact zero everywhere else."""
     out = np.zeros(p.element_count, dtype=np.float32)
     out[p.indices] = p.entry_values()
     return GradientVector(p.layer_id, out)

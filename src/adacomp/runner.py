@@ -13,7 +13,7 @@ from .data import DataError, Dataset, load_idx, synth_digits, synth_gaussians
 from .metrics import MetricsWriter, fmt, write_histogram_csv
 from .nn import build_cnn, build_mlp
 from .optim import make_optimizer
-from .sim import Cluster, DivergenceError, StepMetrics, make_codec
+from .sim import Cluster, DivergenceError, make_codec
 from .wire import effective_compression_rate
 
 
@@ -106,21 +106,26 @@ def run(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     layer_names = cluster.layer_names
-    steps: list[StepMetrics] = []
-    test_error = None
-    diverged = None
+    elements = sum(cluster.layer_sizes) * cfg.learners
+    # running sums, each added in step order from int 0 as sum() over the steps would
+    overall_rate_sum, rate_sums, bits_sums = 0, [0] * len(layer_names), [0] * len(layer_names)
+    test_error = diverged = None
 
     writer = MetricsWriter(out_dir / "metrics.csv", layer_names)
     try:
         for epoch in range(1, cfg.epochs + 1):
             cluster.start_epoch(epoch)
+            loss_sum = 0
             for _ in range(cluster.steps_per_epoch):
-                steps.append(cluster.sync_step())
-                writer.write_step(steps[-1])
+                m = cluster.sync_step()
+                writer.write_step(m)
+                loss_sum += m.train_loss
+                rate_sums = [s + r for s, r in zip(rate_sums, m.rates)]
+                bits_sums = [s + b for s, b in zip(bits_sums, m.payload_bits)]
+                overall_rate_sum += effective_compression_rate(elements, sum(m.payload_bits))
             test_error = cluster.evaluate(test)
-            writer.write_epoch(cluster.global_step, epoch,
-                               sum(m.train_loss for m in steps[-cluster.steps_per_epoch:])
-                               / cluster.steps_per_epoch, test_error, steps[-1].rg_p95)
+            writer.write_epoch(cluster.global_step, epoch, loss_sum / cluster.steps_per_epoch,
+                               test_error, m.rg_p95)
             if epoch in cfg.rg_histogram_epochs:
                 pooled = [cluster.pooled_abs_residue(i) for i in range(len(layer_names))]
                 write_histogram_csv(out_dir / f"rg_hist_epoch{epoch}.csv", layer_names, pooled)
@@ -129,17 +134,15 @@ def run(cfg: ExperimentConfig, out_dir) -> dict:
     finally:
         writer.close()
 
-    elements = sum(cluster.layer_sizes) * cfg.learners
+    steps = cluster.global_step  # each step that returned its metrics
     summary = {
         "diverged": diverged,
         "final_test_error": test_error,
-        "steps": len(steps),
-        "mean_rate_per_layer": {name: sum(m.rates[i] for m in steps) / len(steps) if steps else None
-                                for i, name in enumerate(layer_names)},
-        "total_payload_bits_per_layer": {name: sum(m.payload_bits[i] for m in steps)
-                                         for i, name in enumerate(layer_names)},
-        "mean_rate_overall": sum(effective_compression_rate(elements, sum(m.payload_bits))
-                                 for m in steps) / len(steps) if steps else None,
+        "steps": steps,
+        "mean_rate_per_layer": {name: s / steps if steps else None
+                                for name, s in zip(layer_names, rate_sums)},
+        "total_payload_bits_per_layer": dict(zip(layer_names, bits_sums)),
+        "mean_rate_overall": overall_rate_sum / steps if steps else None,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -30,7 +30,7 @@ from .baselines import (
     topk_pack_into,
     unpack_dense,
     unpack_onebit,
-    unpack_topk,
+    unpack_topk,  # not called here: a name the benchmark wraps
 )
 from .codec import BinConfig, CodecState, GradientVector, PackedLayer, pack, unpack
 from .data import Dataset
@@ -103,10 +103,8 @@ def make_codec(kind: str, **params) -> Codec:
 
 def to_dense(p) -> np.ndarray:
     """The float32 values any codec's pack reconstructs to."""
-    if isinstance(p, PackedLayer):
+    if isinstance(p, (PackedLayer, TopKPacked)):
         return unpack(p).values
-    if isinstance(p, TopKPacked):
-        return unpack_topk(p).values
     if isinstance(p, OneBitPacked):
         return unpack_onebit(p).values
     if isinstance(p, DensePacked):
@@ -250,11 +248,10 @@ class Cluster:
                 add_pack(acc, p)
             acc /= np.float32(self.num_learners)
             averaged.extend(split_vector(acc, self.param_shapes[li]))
-            counts = [p.bin_counts() if isinstance(p, PackedLayer) else None for p in packs]
-            m.payload_bits.append(sum(payload_bits(p, c) for p, c in zip(packs, counts)))
+            m.payload_bits.append(sum(payload_bits(p) for p in packs))
             m.rates.append(effective_compression_rate(size * self.num_learners, m.payload_bits[-1]))
             # entries per bin over the packs that have bins; NaN without any
-            counts = [c for c in counts if c is not None]
+            counts = [p.counts for p in packs if isinstance(p, PackedLayer)]
             counts = np.concatenate(counts) if counts else np.array([np.nan])
             m.sel_mean.append(float(np.mean(counts)))
             m.sel_max.append(float(np.max(counts)))
@@ -271,13 +268,8 @@ class Cluster:
         return np.abs(self.residues[layer_index]).reshape(-1)
 
     def evaluate(self, test: Dataset) -> float:
-        """Test error rate of the model, predicted 512 samples at a time."""
-        wrong = 0
-        for start in range(0, len(test), 512):
-            x = test.features[start:start + 512]
-            y = test.labels[start:start + 512]
-            wrong += int((self.model.predict(x) != y).sum())
-        return wrong / len(test)
+        """Test error rate of the model, in one ``Model.predict`` call, which slices the batch."""
+        return int((self.model.predict(test.features) != test.labels).sum()) / len(test)
 
     def weights_identical(self) -> bool:
         """Whether every rank holds the same weights: true by construction,

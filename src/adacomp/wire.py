@@ -61,7 +61,7 @@ def encode(p: PackedLayer) -> EncodedLayer:
     entries = words.astype("<u2").view(np.uint8) if width == 2 else words.astype(np.uint8)
     # each bin's count goes before its first entry: one byte, or the escape
     # byte and the count as u16
-    counts = p.bin_counts()
+    counts = p.counts
     escaped = counts >= COUNT_ESCAPE
     fields = np.stack([np.minimum(counts, COUNT_ESCAPE), counts & 0xFF, counts >> 8], axis=1)
     used = np.stack([np.ones_like(escaped), escaped, escaped], axis=1)
@@ -125,20 +125,18 @@ def effective_compression_rate(element_count: int, payload_bits: int) -> float:
     return 32.0 * element_count / payload_bits
 
 
-def payload_bits(p: PackedLayer | TopKPacked | OneBitPacked | DensePacked,
-                 counts: np.ndarray | None = None) -> int:
+def payload_bits(p: PackedLayer | TopKPacked | OneBitPacked | DensePacked) -> int:
     """Transmitted size in bits for any codec's pack.
 
-    PackedLayer is the size of its encoding, computed from its bin counts
-    without encoding it (docs/wire-format.md); a caller that already holds
-    ``p.bin_counts()`` may pass them as ``counts``. The other codecs have
-    no bin structure on the wire: top-k entries carry a flat layer index plus
-    a sign bit and two 32-bit means; the 1-bit plane is one bit per element
-    plus two 32-bit means; dense is 32 bits per element.
+    PackedLayer is the size of its encoding, computed from the bin counts
+    the pack holds (``p.counts``) without encoding it (docs/wire-format.md).
+    The other codecs have no bin structure on the wire: top-k entries carry
+    a flat layer index plus a sign bit and two 32-bit means; the 1-bit plane
+    is one bit per element plus two 32-bit means; dense is 32 bits per
+    element.
     """
     if isinstance(p, PackedLayer):
-        counts = p.bin_counts() if counts is None else counts
-        return (HEADER_BITS + 8 * counts.size + 16 * int(np.count_nonzero(counts >= COUNT_ESCAPE))
+        return (HEADER_BITS + 8 * p.num_bins + 16 * int(np.count_nonzero(p.counts >= COUNT_ESCAPE))
                 + 8 * entry_width_bytes(p.bin_size) * p.entry_count())
     if isinstance(p, TopKPacked):
         index_bits = max(1, math.ceil(math.log2(p.element_count)))

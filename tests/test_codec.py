@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adacomp.baselines import ls_pack
 from adacomp.codec import (
     BinConfig,
     CodecState,
@@ -13,6 +16,7 @@ from adacomp.codec import (
     pack,
     unpack,
 )
+from adacomp.wire import decode, encode
 
 from oracles import adacomp_pack_reference, packed_from_bins
 
@@ -182,7 +186,7 @@ def test_bins_view_and_equality():
     assert p.indices.tolist() == [1, 3, 8]
     assert p.signs.tolist() == [1, -1, -1]
     assert p.num_bins == 3 and p.entry_count() == 3
-    assert p.bin_counts().tolist() == [2, 0, 1]
+    assert p.counts.tolist() == [2, 0, 1]
     assert p.bins == [[(1, 1), (3, -1)], [], [(0, -1)]]
     assert p == packed_from_bins(2, 10, 4, 0.5, p.bins)
     for changed in (packed_from_bins(2, 10, 4, 0.5, [[(1, 1), (2, -1)], [], [(0, -1)]]),
@@ -298,6 +302,40 @@ def test_unpack_of_pack_roundtrips_entries(case):
     for i in range(len(dw)):
         if i not in sent:
             assert dense[i] == 0.0
+
+
+def assert_counts_are_entries_per_bin(p: PackedLayer):
+    assert p.counts.tolist() == np.bincount(p.indices // p.bin_size, minlength=p.num_bins).tolist()
+    assert int(p.counts.sum()) == p.entry_count()
+
+
+@given(codec_cases())
+@settings(max_examples=100)
+def test_counts_of_packed_and_decoded_packs(case):
+    residue, dw, bin_size = case
+    gv = GradientVector(0, dw)
+    for p in (pack(make_state(residue), gv, BinConfig(bin_size=bin_size))[0],
+              ls_pack(make_state(residue), gv, bin_size)[0]):
+        assert_counts_are_entries_per_bin(p)
+        assert_counts_are_entries_per_bin(decode(encode(p)))
+
+
+def test_counts_of_hand_built_packs_with_empty_and_escaped_bins():
+    escaped = [(i, 1 if i % 3 else -1) for i in range(0, 600, 2)]
+    for bins, expected in (([[], [], []], [0, 0, 0]),
+                           ([[], escaped, [(0, -1)]], [0, 300, 1]),
+                           ([escaped, escaped[:255], [], escaped[:254]], [300, 255, 0, 254])):
+        p = packed_from_bins(1, 600 * len(bins) - 1, 600, 0.5, bins)
+        assert p.counts.tolist() == expected
+        assert_counts_are_entries_per_bin(p)
+        assert_counts_are_entries_per_bin(decode(encode(p)))
+
+
+def test_packed_layer_takes_its_six_fields_and_no_counts():
+    assert list(inspect.signature(PackedLayer).parameters) == [
+        "layer_id", "element_count", "bin_size", "scale", "indices", "signs"]
+    with pytest.raises(TypeError):
+        PackedLayer(0, 4, 2, 0.5, np.array([1]), np.ones(1, np.int8), np.array([0, 1]))
 
 
 def test_gradient_vector_validation():

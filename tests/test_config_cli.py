@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import asdict
 from datetime import timedelta
 from pathlib import Path
@@ -23,7 +25,9 @@ from adacomp.cli import main
 from adacomp.config import (BOUNDS, DEFAULT_CODEC, REQUIRED, SCHEMA, TOP_LEVEL, ConfigError,
                             ExperimentConfig)
 from adacomp.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from adacomp.metrics import MetricsWriter
 from adacomp.runner import sweep
+from adacomp.sim import Cluster
 from digits_idx import synth_digits_idx, write_idx
 
 
@@ -550,6 +554,32 @@ def test_cli_run_that_needs_more_memory_than_the_host_has_exits_2(tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+def test_run_keeps_no_step_metrics_past_their_epoch(tmp_path, monkeypatch):
+    # the summary comes from running sums, so a run's memory does not grow with its steps
+    made = {}
+    sync_step = Cluster.sync_step
+
+    def recorded(self):
+        m = sync_step(self)
+        made.setdefault(m.epoch, []).append(weakref.ref(m))
+        return m
+
+    alive_at_epoch_3 = []
+    write_epoch = MetricsWriter.write_epoch
+
+    def checked(self, step, epoch, *rest):
+        if epoch == 3:
+            gc.collect()
+            alive_at_epoch_3.extend(r() is not None for r in made[1])
+        write_epoch(self, step, epoch, *rest)
+
+    monkeypatch.setattr(Cluster, "sync_step", recorded)
+    monkeypatch.setattr(MetricsWriter, "write_epoch", checked)
+    summary = runner.run(ExperimentConfig.from_dict(base_config(epochs=3)), tmp_path / "o")
+    assert summary["steps"] == 12 and len(made[1]) == 4
+    assert alive_at_epoch_3 == [False] * 4
+
+
 def test_sweep_records_a_run_out_of_memory_and_goes_on(tmp_path, monkeypatch):
     run = runner.run
 
@@ -616,6 +646,18 @@ def test_cli_sweep_reads_values_that_start_with_a_dash_in_either_form(tmp_path, 
         outcomes.append((code, rows, capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == (2 if values == "-x" else 0)
+
+
+def test_cli_sweep_reads_a_dash_value_after_an_abbreviated_values_option(tmp_path, capsys):
+    # argparse reads "--v" to "--value" as --values; each takes "-1,2" as its value
+    path = write_config(tmp_path, base_config())
+    outcomes = []
+    for form in (["--values=-1,2"], ["--v", "-1,2"], ["--val", "-1,2"], ["--value", "-1,2"]):
+        out = tmp_path / f"o{len(outcomes)}"
+        code = main(["sweep", "--config", str(path), "--axis", "learners", *form, "--out", str(out)])
+        outcomes.append((code, (out / "sweep.csv").read_text(), capsys.readouterr()))
+    assert outcomes[0][0] == 0
+    assert all(o == outcomes[0] for o in outcomes[1:])
 
 
 def test_cli_sweep_of_repeated_values_exits_2(tmp_path, capsys):

@@ -206,6 +206,13 @@ def test_payload_size_formula(p):
     assert payload_bits(p) == e.declared_bits == expect == 8 * len(e.data)
 
 
+@given(pack_specs())
+@settings(max_examples=100, deadline=None)
+def test_counts_are_the_drawn_entries_per_bin(spec):
+    p = packed_from_bins(*spec)
+    assert p.counts.tolist() == decode(encode(p)).counts.tolist() == [len(b) for b in spec[4]]
+
+
 @st.composite
 def full_layers(draw):
     """A layer of one to two bins of a drawn size up to the maximum; its
