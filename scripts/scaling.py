@@ -4,23 +4,27 @@
   python3 scripts/scaling.py --parent ../adacomp-parent --out SCALING_<PR>.json
 
 Builds each cluster with ``runner.build_cluster`` and times
-``Cluster.sync_step`` in process, for the CNN [8, 16] with fc 64 on digits
-and the 1% top-k MLP 64-256-256-10 on gaussians, each at 1, 8, 32 and 64
-learners, with a global batch of 128 and seed 3. A figure is the median ms
-per step over the ``--steps`` timed steps after 3 warm-up steps: steps
-3-11 by default. This checkout runs 3 rounds, each a fresh process with
-its ./src on the path and BLAS pinned to one thread; with ``--parent``
-that checkout runs the same way, the two alternating, the parent first in
-even rounds. The script prints, per model and learner count, each side's
-median over the rounds and the change/parent ratio, and with ``--out``
-writes every round of both sides as JSON. It is a measurement, not a gate:
-the host's speed drifts, so compare the two sides of one run, not figures
-across runs.
+``Cluster.sync_step`` for the CNN [8, 16] with fc 64 on digits and the 1%
+top-k MLP 64-256-256-10 on gaussians, each at 1, 8, 32 and 64 learners,
+with a global batch of 128 and seed 3. One worker process, with BLAS
+pinned to one thread, imports this checkout's ./src/adacomp as the module
+``adacomp_change`` and, with ``--parent``, that checkout's as
+``adacomp_parent``. At each model and learner count it builds one cluster
+per side and alternates their steps, the parent first on even steps, so
+that the host's drift falls on both sides alike. A side's figure is its
+median ms per step over the ``--steps`` timed steps after 3 warm-up steps:
+steps 3-11 by default. With ``--parent`` the script also gives the median,
+min and max over the timed steps of the ratio change/parent of the two
+sides' same step. It prints these per model and learner count, and with
+``--out`` writes them and every timed step as JSON. It is a measurement,
+not a gate: compare the two sides of one run, not figures across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import statistics
@@ -41,44 +45,62 @@ MODELS = {
             "codec": {"fc": {"kind": "topk", "fraction": 0.01}}},
 }
 WARMUP = 3
-ROUNDS = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def curve(learners: list[int], steps: int) -> dict[str, dict[str, float]]:
-    """model -> learner count -> median ms of ``sync_step`` over the timed
-    steps, run on the ``adacomp`` that this process imports."""
-    from adacomp import runner
-    from adacomp.config import ExperimentConfig
+def load(checkout: Path, name: str):
+    """The ``adacomp`` package of ``checkout`` imported as the module ``name``,
+    beside any other tree's under another name."""
+    src = checkout / "src" / "adacomp"
+    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
+                                                  submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
-    out = {}
+
+def interleave(sides: dict[str, Path], learners: list[int], steps: int) -> dict:
+    """The file each side's package was loaded from, and side -> model ->
+    learner count -> ms of each timed ``sync_step``, the sides' steps
+    alternated in this process."""
+    sources = {side: load(checkout, f"adacomp_{side}").__file__ for side, checkout in sides.items()}
+    runners = {side: importlib.import_module(f"adacomp_{side}.runner") for side in sides}
+    configs = {side: importlib.import_module(f"adacomp_{side}.config") for side in sides}
+    times: dict = {side: {} for side in sides}
     for name, spec in MODELS.items():
-        out[name] = {}
-        train = None
+        train = {}
         for n in learners:
-            cfg = ExperimentConfig.from_dict({**spec, "optimizer": {"kind": "sgd", "lr": 0.05},
-                                              "minibatch": GLOBAL_BATCH, "epochs": 1,
-                                              "learners": n, "seed": SEED})
-            if train is None:
-                train = runner.build_datasets(cfg)[0]
-            cluster = runner.build_cluster(cfg, train)
-            times = []
+            clusters = {}
+            for side, runner in runners.items():
+                cfg = configs[side].ExperimentConfig.from_dict(
+                    {**spec, "optimizer": {"kind": "sgd", "lr": 0.05}, "minibatch": GLOBAL_BATCH,
+                     "epochs": 1, "learners": n, "seed": SEED})
+                if side not in train:
+                    train[side] = runner.build_datasets(cfg)[0]
+                clusters[side] = runner.build_cluster(cfg, train[side])
+            ms: dict[str, list[float]] = {side: [] for side in sides}
             for step in range(WARMUP + steps):
-                if step % cluster.steps_per_epoch == 0:
-                    cluster.start_epoch(1 + step // cluster.steps_per_epoch)
-                start = perf_counter()
-                cluster.sync_step()
-                times.append((perf_counter() - start) * 1e3)
-            out[name][str(n)] = statistics.median(times[WARMUP:])
-    return out
+                for side in list(sides) if step % 2 == 0 else list(sides)[::-1]:
+                    cluster = clusters[side]
+                    if step % cluster.steps_per_epoch == 0:
+                        cluster.start_epoch(1 + step // cluster.steps_per_epoch)
+                    start = perf_counter()
+                    cluster.sync_step()
+                    ms[side].append((perf_counter() - start) * 1e3)
+            for side in sides:
+                times[side].setdefault(name, {})[str(n)] = ms[side][WARMUP:]
+    return {"sources": sources, "times": times}
 
 
-def run_side(checkout: Path, learners: list[int], steps: int) -> dict:
-    """``curve`` in a fresh process that imports the program from ``checkout``."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), **dict.fromkeys(THREAD_VARS, "1")}
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker",
-                           "--learners", ",".join(map(str, learners)), "--steps", str(steps)],
-                          cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
+def run_worker(parent: Path | None, learners: list[int], steps: int) -> dict:
+    """``interleave`` in a fresh process with one BLAS thread."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
+           "--learners", ",".join(map(str, learners)), "--steps", str(steps)]
+    if parent is not None:
+        cmd += ["--parent", str(parent)]
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -87,7 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--learners", default="1,8,32,64", help="comma-separated learner counts")
     parser.add_argument("--steps", type=int, default=9, help=f"timed steps after {WARMUP} untimed ones")
-    parser.add_argument("--out", type=Path, help="write every round of both sides here as JSON")
+    parser.add_argument("--out", type=Path, help="write both sides' timed steps here as JSON")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     learners = [int(v) for v in args.learners.split(",")]
@@ -95,36 +117,39 @@ def main(argv=None) -> int:
         parser.error("need --steps and every learner count at least 1")
     if any(GLOBAL_BATCH % n for n in learners):
         parser.error(f"every learner count must divide the global batch of {GLOBAL_BATCH}")
+    parent = None if args.parent is None else args.parent.resolve()
     if args.worker:
-        print(json.dumps(curve(learners, args.steps)))
+        sides = {"change": ROOT} if parent is None else {"parent": parent, "change": ROOT}
+        print(json.dumps(interleave(sides, learners, args.steps)))
         return 0
 
-    sides = {"change": ROOT}
-    if args.parent is not None:
-        sides = {"parent": args.parent.resolve(), **sides}
-    rounds: dict[str, list[dict]] = {side: [] for side in sides}
-    for i in range(ROUNDS):
-        for side in list(sides) if i % 2 == 0 else list(sides)[::-1]:
-            rounds[side].append(run_side(sides[side], learners, args.steps))
-            print(f"round {i + 1} {side} done", flush=True)
-
-    medians = {side: {model: {n: statistics.median(r[model][n] for r in runs) for n in runs[0][model]}
-                      for model in MODELS} for side, runs in rounds.items()}
-    print(f"median ms per sync_step over {ROUNDS} rounds (steps {WARMUP}-"
+    result = run_worker(parent, learners, args.steps)
+    times = result["times"]
+    medians = {side: {model: {n: statistics.median(ms) for n, ms in by_n.items()}
+                      for model, by_n in by_model.items()} for side, by_model in times.items()}
+    ratios: dict = {}
+    if parent is not None:
+        for model in MODELS:
+            for n, parent_ms in times["parent"][model].items():
+                r = [c / p for c, p in zip(times["change"][model][n], parent_ms)]
+                ratios.setdefault(model, {})[n] = {"median": statistics.median(r),
+                                                   "min": min(r), "max": max(r)}
+    print(f"median ms per sync_step, sides alternated in one process (steps {WARMUP}-"
           f"{WARMUP + args.steps - 1}, global batch {GLOBAL_BATCH}, seed {SEED})")
     for model in MODELS:
         for n in map(str, learners):
             line = f"{model} {n:>3} learners: " + "  ".join(
-                f"{side} {medians[side][model][n]:8.2f}" for side in sides)
-            if "parent" in sides:
-                line += f"  ratio {medians['change'][model][n] / medians['parent'][model][n]:.3f}"
+                f"{side} {medians[side][model][n]:8.2f}" for side in times)
+            if ratios:
+                r = ratios[model][n]
+                line += f"  ratio {r['median']:.3f} ({r['min']:.3f}-{r['max']:.3f})"
             print(line)
     if args.out is not None:
         settings = {"global_batch": GLOBAL_BATCH, "seed": SEED, "learners": learners,
-                    "warmup": WARMUP, "steps": args.steps, "rounds": ROUNDS,
-                    "unit": "ms per sync_step, median over the timed steps"}
-        args.out.write_text(json.dumps({"settings": settings, "median": medians, "rounds": rounds},
-                                       indent=1) + "\n")
+                    "warmup": WARMUP, "steps": args.steps,
+                    "unit": "ms per sync_step; ratio is change/parent of the same step"}
+        args.out.write_text(json.dumps({"settings": settings, "median": medians, "ratio": ratios,
+                                        "steps": times}, indent=1) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -1,6 +1,8 @@
 """Comparison codecs: per-bin local selection, layer-wide top-k with
-per-sign means, and dense 1-bit quantization. All keep the same
-error-feedback residue discipline as the adaptive codec."""
+per-sign means, dense 1-bit quantization and no compression. All keep the
+same error-feedback residue discipline as the adaptive codec, and each is
+one pack function that is pure without ``magnitudes`` and works in place on
+the state's residue with them, as ``codec.pack`` does."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecState, GradientVector, PackedLayer, _pack_selected, bin_maxima, layer_scale
+from .codec import CodecState, GradientVector, PackedLayer, _held, _pack_selected, bin_maxima, layer_scale
 from .codec import unpack as unpack_topk  # a top-k pack expands as a PackedLayer does
 
 
@@ -60,42 +62,33 @@ def _seq_mean_f32(values: np.ndarray) -> np.float32:
     return np.float32((np.cumsum(values, dtype=np.float64)[-1] + 0.0) / values.size)
 
 
-def ls_pack(state: CodecState, dw: GradientVector, bin_size: int) -> tuple[PackedLayer, CodecState]:
+def ls_pack(state: CodecState, dw: GradientVector, bin_size: int,
+            magnitudes: np.ndarray | None = None) -> tuple[PackedLayer, CodecState]:
     """Send exactly the peak-|G| element of every nonzero bin (ties to the
-    lowest index); quantization, scale and residue update match pack()."""
-    w = dw.values.astype(np.float64)
-    if state.residue.shape != w.shape:
-        raise ValueError("residue/gradient shape mismatch")
-    g = state.residue + w
-    gmax = bin_maxima(g, bin_size)
+    lowest index); quantization, scale, residue update and ``magnitudes``
+    match pack()."""
+    g, mag = _held(state, dw, magnitudes)
+    np.add(g, dw.values, out=g)
+    gmax = bin_maxima(np.abs(g, out=mag), bin_size)
     scale = np.float32(layer_scale(gmax))
-    peaks = np.flatnonzero(np.abs(g) == np.repeat(gmax, bin_size)[:w.size])
+    peaks = np.flatnonzero(mag == np.repeat(gmax, bin_size)[:g.size])
     # the first peak of each bin with a nonzero peak; nothing when the mean
     # peak underflows float32
     bins, first = np.unique(peaks // bin_size, return_index=True)
     indices = peaks[first[(gmax[bins] > 0.0) & (scale != 0.0)]]
-    return _pack_selected(dw.layer_id, bin_size, g, indices, scale)
+    return _pack_selected(dw.layer_id, bin_size, g, mag, indices, scale)
 
 
-def topk_pack(state: CodecState, dw: GradientVector, fraction: float) -> tuple[TopKPacked, CodecState]:
+def topk_pack(state: CodecState, dw: GradientVector, fraction: float,
+              magnitudes: np.ndarray | None = None) -> tuple[TopKPacked, CodecState]:
     """Send the ceil(fraction * n) largest-|G| elements of the whole layer
     (ties to the lowest index), reconstructed as the mean of the selected
-    values of matching sign. The input state is not mutated."""
-    residue = state.residue.copy()
-    return topk_pack_into(residue, np.empty_like(residue), dw, fraction), CodecState(residue=residue)
-
-
-def topk_pack_into(residue: np.ndarray, magnitudes: np.ndarray, dw: GradientVector,
-                   fraction: float) -> TopKPacked:
-    """``topk_pack`` on a float64 residue held in place: ``residue`` becomes
-    the successor residue and ``magnitudes``, an array of its shape, its
-    |residue|, bit for bit what ``np.abs`` gives."""
+    values of matching sign. State and ``magnitudes`` as in pack()."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if residue.shape != dw.values.shape:
-        raise ValueError("residue/gradient shape mismatch")
-    g = np.add(residue, dw.values, out=residue)
-    indices = _top_k_indices(np.abs(g, out=magnitudes), math.ceil(fraction * g.size))
+    g, mag = _held(state, dw, magnitudes)
+    np.add(g, dw.values, out=g)
+    indices = _top_k_indices(np.abs(g, out=mag), math.ceil(fraction * g.size))
     sent = g[indices]
     positive = sent >= 0.0
     pos_scale = _seq_mean_f32(sent[positive])
@@ -103,9 +96,10 @@ def topk_pack_into(residue: np.ndarray, magnitudes: np.ndarray, dw: GradientVect
     # the selected entries have their reconstruction taken off
     kept = sent - np.where(positive, np.float64(pos_scale), np.float64(neg_scale))
     g[indices] = kept
-    magnitudes[indices] = np.abs(kept)
-    return TopKPacked(dw.layer_id, int(g.size), indices, np.where(positive, 1, -1).astype(np.int8),
-                      float(pos_scale), float(neg_scale))
+    mag[indices] = np.abs(kept)
+    packed = TopKPacked(dw.layer_id, int(g.size), indices, np.where(positive, 1, -1).astype(np.int8),
+                        float(pos_scale), float(neg_scale))
+    return packed, CodecState(residue=g)
 
 
 # one |g| in TOPK_SAMPLE_STRIDE estimates the top-k threshold of a layer;
@@ -151,30 +145,31 @@ def _top_k_positions(a: np.ndarray, k: int) -> np.ndarray:
     return selected.nonzero()[0]
 
 
-def onebit_pack(state: CodecState, dw: GradientVector) -> tuple[OneBitPacked, CodecState]:
+def onebit_pack(state: CodecState, dw: GradientVector,
+                magnitudes: np.ndarray | None = None) -> tuple[OneBitPacked, CodecState]:
     """Quantize every element to its sign bit; each side reconstructs to the
-    mean of G over that side. Exact zeros count as positive."""
-    w = dw.values.astype(np.float64)
-    if state.residue.shape != w.shape:
-        raise ValueError("residue/gradient shape mismatch")
-    g = state.residue + w
+    mean of G over that side. Exact zeros count as positive. State and
+    ``magnitudes`` as in pack()."""
+    g, mag = _held(state, dw, magnitudes)
+    np.add(g, dw.values, out=g)
     bits = g >= 0.0
     pos_scale = _seq_mean_f32(g[bits])
     neg_scale = _seq_mean_f32(g[~bits])
     # a two-entry table indexed by the sign bit: np.where over a random sign
     # plane mispredicts a branch on every other element
-    new_residue = g - np.array([neg_scale, pos_scale], np.float64).take(bits.view(np.uint8))
-    packed = OneBitPacked(dw.layer_id, int(w.size), bits, float(pos_scale), float(neg_scale))
-    return packed, CodecState(residue=new_residue)
+    g -= np.array([neg_scale, pos_scale], np.float64).take(bits.view(np.uint8))
+    np.abs(g, out=mag)
+    packed = OneBitPacked(dw.layer_id, int(g.size), bits, float(pos_scale), float(neg_scale))
+    return packed, CodecState(residue=g)
 
 
-def identity_pack(state: CodecState, dw: GradientVector) -> tuple[DensePacked, CodecState]:
+def identity_pack(state: CodecState, dw: GradientVector,
+                  magnitudes: np.ndarray | None = None) -> tuple[DensePacked, CodecState]:
     """No compression: ship the float32 gradient as-is; the residue never
-    accumulates anything."""
-    if state.residue.shape != dw.values.shape:
-        raise ValueError("residue/gradient shape mismatch")
-    packed = DensePacked(dw.layer_id, dw.values.copy())
-    return packed, CodecState(residue=state.residue.copy())
+    accumulates anything. State and ``magnitudes`` as in pack()."""
+    g, mag = _held(state, dw, magnitudes)
+    np.abs(g, out=mag)
+    return DensePacked(dw.layer_id, dw.values.copy()), CodecState(residue=g)
 
 
 def unpack_onebit(p: OneBitPacked) -> GradientVector:

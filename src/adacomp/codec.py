@@ -10,6 +10,12 @@ and is retried on the next step.
 
 A pack holds the increasing layer positions of the sent elements and their
 signs as two flat arrays; its entries per bin are counted once, when it is built.
+
+Every codec, here and in ``baselines``, is one pack function whose optional
+last argument is ``magnitudes``. Without it the pack works on a copy of the
+residue and leaves the input state as it was; with it, an array of the
+residue's shape, the pack works on the float64 ``state.residue`` itself and
+leaves the successor residue there and its |residue| in ``magnitudes``.
 """
 
 from __future__ import annotations
@@ -168,41 +174,55 @@ def layer_scale(g_max: np.ndarray) -> float:
     return float(np.cumsum(g)[-1] / g.size)
 
 
-def _pack_selected(layer_id: int, bin_size: int, g: np.ndarray, indices: np.ndarray,
-                   scale: np.float32) -> tuple[PackedLayer, CodecState]:
+def _held(state: CodecState, dw: GradientVector, magnitudes) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 residue a pack works on and the array its |residue| goes
+    to: ``state.residue`` itself and ``magnitudes`` when these are given, a
+    copy and a new array when not, which leaves the input state as it was."""
+    if state.residue.shape != dw.values.shape:
+        raise ValueError("residue/gradient shape mismatch")
+    if magnitudes is None:
+        return state.residue.astype(np.float64), np.empty(state.residue.shape)
+    return state.residue, magnitudes
+
+
+def _pack_selected(layer_id: int, bin_size: int, g: np.ndarray, magnitudes: np.ndarray,
+                   indices: np.ndarray, scale: np.float32) -> tuple[PackedLayer, CodecState]:
     """The pack of g's elements at ``indices``, each sent as sign(g) * scale
-    with sign(+-0) = +1, and the successor state: ``g`` is the caller's own
-    array and becomes the new residue once the sent values are taken off."""
+    with sign(+-0) = +1, and the successor state: ``g`` becomes the new
+    residue once the sent values are taken off, and ``magnitudes``, which
+    holds |g|, its |residue|."""
     sent = g[indices]
     positive = sent >= 0.0
     s = np.float64(scale)
-    g[indices] = sent - np.where(positive, s, -s)
+    kept = sent - np.where(positive, s, -s)
+    g[indices] = kept
+    magnitudes[indices] = np.abs(kept)
     packed = PackedLayer(layer_id, int(g.size), int(bin_size), float(scale), indices,
                          np.where(positive, 1, -1).astype(np.int8))
     return packed, CodecState(residue=g)
 
 
-def pack(state: CodecState, dw: GradientVector, cfg: BinConfig) -> tuple[PackedLayer, CodecState]:
+def pack(state: CodecState, dw: GradientVector, cfg: BinConfig,
+         magnitudes: np.ndarray | None = None) -> tuple[PackedLayer, CodecState]:
     """Compress one layer's gradient against its residue.
 
-    Returns the sparse selection and the successor state; the input state is
-    not mutated. Element i of bin b is sent iff
+    Returns the sparse selection and the successor state, pure or in place
+    as the module docstring says. Element i of bin b is sent iff
     |residue_i + scale_factor * dw_i| >= max|residue + dw| over bin b and the
     bin's max is nonzero; sent elements are quantized to
     sign(residue_i + dw_i) * scale with sign(+-0) = +1.
     """
+    g, mag = _held(state, dw, magnitudes)
     w = dw.values.astype(np.float64)
-    if state.residue.shape != w.shape:
-        raise ValueError("residue/gradient shape mismatch")
-    g = state.residue + w
+    np.add(g, w, out=g)
     h = g + (float(cfg.scale_factor) - 1.0) * w
-    gmax = bin_maxima(g, cfg.bin_size)
+    gmax = bin_maxima(np.abs(g, out=mag), cfg.bin_size)
     scale = np.float32(layer_scale(gmax))
     # an all-zero bin sends nothing, nor does a layer whose mean peak
     # underflows float32: no finite |h| reaches an infinite threshold
     threshold = np.where((gmax > 0.0) & (scale != 0.0), gmax, np.inf)
-    selected = np.abs(h, out=h) >= np.repeat(threshold, cfg.bin_size)[:w.size]
-    return _pack_selected(dw.layer_id, cfg.bin_size, g, np.flatnonzero(selected), scale)
+    selected = np.abs(h, out=h) >= np.repeat(threshold, cfg.bin_size)[:g.size]
+    return _pack_selected(dw.layer_id, cfg.bin_size, g, mag, np.flatnonzero(selected), scale)
 
 
 def unpack(p) -> GradientVector:

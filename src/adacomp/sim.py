@@ -7,10 +7,11 @@ simulated exchange is lossless, so every learner would decompress the same
 N packs, average them in the same rank order and apply the same update to
 the same weights. The cluster therefore holds one parameter set and one
 optimizer for all ranks, and N residues: one forward and one backward run
-over all ranks' shards at once. A step's pack pass packs every layer into
-its (N, size) residue matrix in place; its average-and-count pass averages
-each layer's packs and counts their bits, rate and entries per bin. The
-whole run is a pure function of (config, seed).
+over all ranks' shards at once. A step's pack pass calls each layer's pack
+once per rank, in place on the rank's row of the layer's (N, size) residue
+matrix; its average-and-count pass averages each layer's packs and counts
+their bits, rate and entries per bin. The whole run is a pure function of
+(config, seed).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .baselines import (
     ls_pack,
     onebit_pack,
     topk_pack,
-    topk_pack_into,
     unpack_dense,
     unpack_onebit,
     unpack_topk,  # not called here: a name the benchmark wraps
@@ -52,48 +52,30 @@ class DivergenceError(RuntimeError):
 
 # ------------------------------------------------------------------- codecs
 
-class Codec:
-    """One codec kind. Called, it is the pure pack, ``(state, gv) -> (pack,
-    state)``; ``into(residue, magnitudes, gv) -> pack`` packs into a float64
-    residue row in place and leaves its |residue| in ``magnitudes``, by
-    default by copying in the successor the pure pack returns."""
-
-    def __init__(self, pure, into=None):
-        self.pure = pure
-        self.into = into or self._copy_back
-
-    def __call__(self, state, gv):
-        return self.pure(state, gv)
-
-    def _copy_back(self, residue, magnitudes, gv):
-        packed, state = self.pure(CodecState(residue=residue), gv)
-        residue[...] = state.residue
-        np.abs(residue, out=magnitudes)
-        return packed
-
-
-def make_codec(kind: str, **params) -> Codec:
-    """One kind's ``Codec``, its parameters checked; each call looks its pack function up here."""
+def make_codec(kind: str, **params):
+    """One kind's pack, its parameters checked: ``(state, gv, magnitudes=None)
+    -> (pack, state)``, pure without ``magnitudes`` and in place on
+    ``state.residue`` with them, as ``codec.pack`` describes. Each call looks
+    its pack function up here, where the benchmark's tracer wraps it."""
     def adacomp(bin_size, scale_factor=2.0):
         cfg = BinConfig(bin_size=bin_size, scale_factor=scale_factor)
-        return Codec(lambda state, gv: pack(state, gv, cfg))
+        return lambda state, gv, magnitudes=None: pack(state, gv, cfg, magnitudes)
 
     def ls(bin_size):
         bin_size = int(BinConfig(bin_size=bin_size).bin_size)
-        return Codec(lambda state, gv: ls_pack(state, gv, bin_size))
+        return lambda state, gv, magnitudes=None: ls_pack(state, gv, bin_size, magnitudes)
 
     def topk(fraction):
         fraction = float(fraction)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        return Codec(lambda state, gv: topk_pack(state, gv, fraction),
-                     lambda residue, mag, gv: topk_pack_into(residue, mag, gv, fraction))
+        return lambda state, gv, magnitudes=None: topk_pack(state, gv, fraction, magnitudes)
 
     def onebit():
-        return Codec(lambda state, gv: onebit_pack(state, gv))
+        return lambda state, gv, magnitudes=None: onebit_pack(state, gv, magnitudes)
 
     def identity():
-        return Codec(lambda state, gv: identity_pack(state, gv))
+        return lambda state, gv, magnitudes=None: identity_pack(state, gv, magnitudes)
 
     table = {"adacomp": adacomp, "ls": ls, "topk": topk, "onebit": onebit, "identity": identity}
     if kind not in table:
@@ -153,14 +135,16 @@ class Cluster:
     layer's (N, size) float64 matrix ``residues[layer]``, which
     ``codec_states[rank][layer].residue`` views. A step runs one forward and
     one backward over the N local batches stacked on a rank axis. The pack
-    pass packs each rank's gradient row into its residue row in place and
-    takes each layer's rg_p95 from the |residue| left; the average-and-count
-    pass adds each layer's N packs in rank order, divides the float32 sum by
-    N and appends the layer's bits, rate and entries per bin to the step's
-    ``StepMetrics``. One optimizer update applies the averages.
+    pass calls each layer's pack with ``codec_states[rank][layer]`` and row
+    ``rank`` of the layer's magnitudes, so each residue row becomes its
+    successor in place, and takes the layer's rg_p95 from the |residue| the
+    packs leave in the magnitudes; the average-and-count pass adds each
+    layer's N packs in rank order, divides the float32 sum by N and appends
+    the layer's bits, rate and entries per bin to the step's ``StepMetrics``.
+    One optimizer update applies the averages.
 
     ``codec_by_kind`` maps a parameterized layer kind ("conv"/"fc") to a
-    ``Codec`` from ``make_codec``; kinds left out run uncompressed.
+    pack from ``make_codec``; kinds left out run uncompressed.
     """
 
     def __init__(self, build_model, train: Dataset, codec_by_kind: dict,
@@ -233,8 +217,8 @@ class Cluster:
         for li, residues in enumerate(self.residues):
             grad, grads[li] = grads[li], None
             magnitudes = np.empty_like(residues)
-            all_packs.append([self.codecs[li].into(residue, mag, GradientVector(li, g))
-                              for residue, mag, g in zip(residues, magnitudes, grad)])
+            all_packs.append([self.codecs[li](states[li], GradientVector(li, g), mag)[0]
+                              for states, mag, g in zip(self.codec_states, magnitudes, grad)])
             rg_p95.append(nearest_rank_percentile(magnitudes.reshape(-1), 95.0))
             del grad, magnitudes
         # barrier: the exchange is lossless, so the rank-order average of

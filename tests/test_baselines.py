@@ -10,7 +10,6 @@ from adacomp.baselines import (
     ls_pack,
     onebit_pack,
     topk_pack,
-    topk_pack_into,
     unpack_dense,
     unpack_onebit,
     unpack_topk,
@@ -231,13 +230,13 @@ def test_topk_partitions_only_the_bracket_candidates(layer, fraction, partitione
 
 
 def assert_pack_into_matches(residue, dw, fraction):
-    """The in-place core on a copy of ``residue`` gives the pack and the
-    residue bits of ``topk_pack`` and of a reference, and leaves |residue| in
-    its magnitudes."""
+    """``topk_pack`` in place on a copy of ``residue`` gives the pack and the
+    residue bits of the pure ``topk_pack`` and of a reference, and leaves
+    |residue| in its magnitudes."""
     gv = GradientVector(0, dw)
-    held, magnitudes = residue.copy(), np.full(residue.shape, -1.0)
+    held, magnitudes = np.array(residue, dtype=np.float64), np.full(residue.shape, -1.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        p = topk_pack_into(held, magnitudes, gv, fraction)
+        p, _ = topk_pack(CodecState(residue=held), gv, fraction, magnitudes)
         pure, state = topk_pack(state_of(residue), gv, fraction)
         if np.isfinite(residue).all():
             ref = topk_pack_reference(residue, dw, fraction)

@@ -112,8 +112,8 @@ def test_a_traced_topk_mlp_step_reaches_its_spans():
                           lambda: optim.SGDMomentum(lr=0.1), num_learners=n,
                           global_minibatch=16, seed=0)
     assert len(cluster.layer_sizes) == layers
-    # top-k packs in place and its packs are added without unpacking: no
-    # baselines.pack, codec.unpack or baselines.unpack span
+    # a top-k pack per layer and rank; its packs are added without
+    # unpacking: no codec.unpack or baselines.unpack span
     assert _traced_step_calls(cluster) == {
-        "wire.payload_bits": n * layers, "metrics.residue_p95": layers,
+        "baselines.pack": n * layers, "wire.payload_bits": n * layers, "metrics.residue_p95": layers,
         "nn.forward": 1, "nn.backward": 1, "optim.update": 1}

@@ -405,11 +405,11 @@ def test_metrics_count_each_pack_on_its_own_bins():
     all_packs = [[packed(0, 300), packed(0, 10)], [packed(1, 3), packed(1, 40)]]
     handed = iter([p for packs in all_packs for p in packs])
 
-    def into(residue, magnitudes, gv):
+    def hand_out(state, gv, magnitudes):
         magnitudes[...] = 0.0
-        return next(handed)
+        return next(handed), state
 
-    cluster.codecs = [sim.Codec(None, into)] * len(sizes)
+    cluster.codecs = [hand_out] * len(sizes)
     cluster.start_epoch(1)
     m = cluster.sync_step()
     assert next(handed, None) is None
@@ -536,25 +536,31 @@ def test_make_codec_registry():
                                            ("topk", {"fraction": 0.1}), ("onebit", {}),
                                            ("identity", {})])
 def test_every_codec_packs_in_place_as_its_pure_pack(kind, params):
-    # into leaves the pure pack's successor residue in the row and its |residue|
-    # in the magnitudes, over a few steps of the same residue
+    # with magnitudes, the pack leaves the pure pack's successor residue in the
+    # state's own array and its |residue| in the magnitudes, over a few steps
+    # of the same residue; without them it leaves its input state untouched
     rng = np.random.default_rng(11)
     codec = make_codec(kind, **params)
     state = CodecState.zeros(300)
-    held, magnitudes = np.zeros(300), np.empty(300)
+    held, magnitudes = CodecState.zeros(300), np.empty(300)
     for _ in range(3):
         gv = GradientVector(0, rng.standard_normal(300).astype(np.float32))
-        want, state = codec(state, gv)
-        got = codec.into(held, magnitudes, gv)
+        before = state.residue.copy()
+        want, successor = codec(state, gv)
+        assert_bitwise(state.residue, before)
+        state = successor
+        got, in_place = codec(held, gv, magnitudes)
+        assert in_place.residue is held.residue
         assert type(got) is type(want)
         assert_bitwise(sim.to_dense(got), sim.to_dense(want))
-        assert_bitwise(held, state.residue)
+        assert_bitwise(held.residue, state.residue)
         assert_bitwise(magnitudes, np.abs(state.residue))
 
 
 def test_codecs_look_up_pack_functions_at_call_time(monkeypatch):
-    # a name replaced on the module after make_codec is the one that runs
-    gv = GradientVector(0, np.ones(20, dtype=np.float32))
+    # a name replaced on the module after make_codec is the one that runs, in
+    # the pure call and in the in-place call the step makes, magnitudes passed on
+    gv, magnitudes = GradientVector(0, np.ones(20, dtype=np.float32)), np.empty(20)
     for kind, params, name in (("adacomp", {"bin_size": 5}, "pack"),
                                ("ls", {"bin_size": 5}, "ls_pack"),
                                ("topk", {"fraction": 0.5}, "topk_pack"),
@@ -563,9 +569,10 @@ def test_codecs_look_up_pack_functions_at_call_time(monkeypatch):
         codec = make_codec(kind, **params)
         calls = []
         original = getattr(sim, name)
-        monkeypatch.setattr(sim, name, lambda *a, f=original: calls.append(1) or f(*a))
+        monkeypatch.setattr(sim, name, lambda *a, f=original: calls.append(a[-1]) or f(*a))
         codec(CodecState.zeros(20), gv)
-        assert calls == [1], kind
+        codec(CodecState.zeros(20), gv, magnitudes)
+        assert len(calls) == 2 and calls[0] is None and calls[1] is magnitudes, kind
 
 
 def test_nearest_rank_percentile():
