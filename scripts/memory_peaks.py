@@ -2,6 +2,7 @@
 
   python3 scripts/memory_peaks.py            # seed 7
   python3 scripts/memory_peaks.py --seed 8
+  python3 scripts/memory_peaks.py --parent ../adacomp-parent
 
 Runs one epoch of ``cnn-n1``, ``cnn-n32`` and ``mlp-topk-n16``, configured
 as ``perfbench/workloads.train_config`` builds them, through ``runner.run``
@@ -10,14 +11,19 @@ call of ``runner.build_datasets``, ``Cluster.sync_step`` and
 ``Cluster.evaluate``, and over the whole run. Each figure is absolute: it
 counts what was already held when the call began. ``peak_rss_mb`` follows
 heap layout as well as live bytes, so a claim about it needs these figures
-beside it. Run from the repository root; the program is imported from ./src,
-and BLAS is pinned to one thread as the benchmark pins it.
+beside it. Run from the repository root. Each tree is measured in a fresh
+process that imports its ./src, with BLAS pinned to one thread as the
+benchmark pins it: this checkout's, and with ``--parent`` that checkout's
+too, whose rows are then printed above this tree's with the difference
+change - parent below. Both trees run this checkout's perfbench configs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -25,7 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cnn-n1", "cnn-n32", "mlp-topk-n16")
+WATCHED = ("build_datasets", "sync_step", "evaluate")
 MIB = 2**20
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class Peaks:
@@ -74,28 +82,59 @@ def measure(run, cfg, out_dir, watched) -> Peaks:
     return peaks
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def workload_peaks(tree: Path, seed: int, workloads: list[str]) -> dict:
+    """{"source": the file ``adacomp`` was imported from, under ``tree``/src,
+    "peaks": workload -> bytes at the peak of each WATCHED call and of the
+    whole run}; call once per process."""
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
+    import adacomp
     from adacomp import runner, sim
     from workloads import train_config
 
     watched = [(runner, "build_datasets", "build_datasets"),
                (sim.Cluster, "sync_step", "sync_step"),
                (sim.Cluster, "evaluate", "evaluate")]
-    names = [name for _, _, name in watched]
-    print(f"tracemalloc peak in MiB, seed {args.seed}")
-    print(f"{'workload':<14}" + "".join(f"{n:>16}" for n in [*names, "whole run"]))
+    figures = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS:
-            peaks = measure(runner.run, train_config(workload, args.seed), Path(tmp) / workload,
-                            watched)
-            figures = [peaks.calls.get(n, 0) for n in names] + [peaks.whole]
-            print(f"{workload:<14}" + "".join(f"{f / MIB:>16.1f}" for f in figures))
+        for workload in workloads:
+            peaks = measure(runner.run, train_config(workload, seed), Path(tmp) / workload, watched)
+            figures[workload] = [peaks.calls.get(n, 0) for n in WATCHED] + [peaks.whole]
+    return {"source": adacomp.__file__, "peaks": figures}
+
+
+def run_worker(tree: Path, seed: int) -> dict:
+    """``workload_peaks`` of WORKLOADS in a fresh process with one BLAS thread."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
+           "--seed", str(seed), "--workloads", ",".join(WORKLOADS)]
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--workloads", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        print(json.dumps(workload_peaks(args.worker, args.seed, args.workloads.split(","))))
+        return 0
+
+    sides = {"change": ROOT} if args.parent is None else {"parent": args.parent.resolve(),
+                                                         "change": ROOT}
+    figures = {side: run_worker(tree, args.seed)["peaks"] for side, tree in sides.items()}
+    if args.parent is not None:
+        figures["change - parent"] = {w: [c - p for c, p in zip(figures["change"][w],
+                                                                 figures["parent"][w])]
+                                      for w in WORKLOADS}
+    print(f"tracemalloc peak in MiB, seed {args.seed}")
+    print(f"{'workload':<14}{'tree':<16}" + "".join(f"{n:>16}" for n in [*WATCHED, "whole run"]))
+    for workload in WORKLOADS:
+        for side, by_workload in figures.items():
+            print(f"{workload:<14}{side:<16}"
+                  + "".join(f"{f / MIB:>16.1f}" for f in by_workload[workload]))
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecState, GradientVector, PackedLayer, _held, _pack_selected, bin_maxima, layer_scale
+from .codec import CodecState, GradientVector, PackedLayer, _bin_peaks, _held, _pack_selected, layer_scale
 from .codec import unpack as unpack_topk  # a top-k pack expands as a PackedLayer does
 
 
@@ -54,12 +54,14 @@ class DensePacked:
     values: np.ndarray   # float32
 
 
-def _seq_mean_f32(values: np.ndarray) -> np.float32:
-    """Sequential float64 mean from +0.0, rounded once to the transmitted float32."""
-    if values.size == 0:
-        return np.float32(0.0)
-    # cumsum starts from the first value; + 0.0 makes only a sum of -0.0s +0.0
-    return np.float32((np.cumsum(values, dtype=np.float64)[-1] + 0.0) / values.size)
+def _sign_means(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(side, means): side is 1 (uint8) where a value is >= 0.0, -0.0 too, else
+    0, NaN too; means[s] is side s's float64 sum in index order (np.add.at)
+    from +0.0 over max(count, 1), rounded once to the transmitted float32."""
+    side = (values >= 0.0).view(np.uint8)
+    sums = np.zeros(2)
+    np.add.at(sums, side, values)
+    return side, (sums / np.maximum(np.bincount(side, minlength=2), 1)).astype(np.float32)
 
 
 def ls_pack(state: CodecState, dw: GradientVector, bin_size: int,
@@ -69,7 +71,7 @@ def ls_pack(state: CodecState, dw: GradientVector, bin_size: int,
     match pack()."""
     g, mag = _held(state, dw, magnitudes)
     np.add(g, dw.values, out=g)
-    gmax = bin_maxima(np.abs(g, out=mag), bin_size)
+    gmax = _bin_peaks(np.abs(g, out=mag), bin_size)
     scale = np.float32(layer_scale(gmax))
     peaks = np.flatnonzero(mag == np.repeat(gmax, bin_size)[:g.size])
     # the first peak of each bin with a nonzero peak; nothing when the mean
@@ -90,14 +92,12 @@ def topk_pack(state: CodecState, dw: GradientVector, fraction: float,
     np.add(g, dw.values, out=g)
     indices = _top_k_indices(np.abs(g, out=mag), math.ceil(fraction * g.size))
     sent = g[indices]
-    positive = sent >= 0.0
-    pos_scale = _seq_mean_f32(sent[positive])
-    neg_scale = _seq_mean_f32(sent[~positive])
+    side, (neg_scale, pos_scale) = _sign_means(sent)
     # the selected entries have their reconstruction taken off
-    kept = sent - np.where(positive, np.float64(pos_scale), np.float64(neg_scale))
+    kept = sent - np.array([neg_scale, pos_scale], np.float64).take(side)
     g[indices] = kept
     mag[indices] = np.abs(kept)
-    packed = TopKPacked(dw.layer_id, int(g.size), indices, np.where(positive, 1, -1).astype(np.int8),
+    packed = TopKPacked(dw.layer_id, int(g.size), indices, np.array([-1, 1], np.int8).take(side),
                         float(pos_scale), float(neg_scale))
     return packed, CodecState(residue=g)
 
@@ -139,9 +139,9 @@ def _top_k_positions(a: np.ndarray, k: int) -> np.ndarray:
     key = np.negative(a)
     key[np.isnan(key)] = np.inf
     threshold = np.partition(key, k - 1)[k - 1]
-    selected = key < threshold
-    ties = (key == threshold).nonzero()[0]
-    selected[ties[:k - np.count_nonzero(selected)]] = True
+    selected = key <= threshold
+    if np.count_nonzero(selected) > k:  # ties at the k-th: keep the lowest
+        selected[(key == threshold).nonzero()[0][k - np.count_nonzero(key < threshold):]] = False
     return selected.nonzero()[0]
 
 
@@ -152,14 +152,12 @@ def onebit_pack(state: CodecState, dw: GradientVector,
     ``magnitudes`` as in pack()."""
     g, mag = _held(state, dw, magnitudes)
     np.add(g, dw.values, out=g)
-    bits = g >= 0.0
-    pos_scale = _seq_mean_f32(g[bits])
-    neg_scale = _seq_mean_f32(g[~bits])
+    side, (neg_scale, pos_scale) = _sign_means(g)
     # a two-entry table indexed by the sign bit: np.where over a random sign
     # plane mispredicts a branch on every other element
-    g -= np.array([neg_scale, pos_scale], np.float64).take(bits.view(np.uint8))
+    g -= np.array([neg_scale, pos_scale], np.float64).take(side)
     np.abs(g, out=mag)
-    packed = OneBitPacked(dw.layer_id, int(g.size), bits, float(pos_scale), float(neg_scale))
+    packed = OneBitPacked(dw.layer_id, int(g.size), side.view(bool), float(pos_scale), float(neg_scale))
     return packed, CodecState(residue=g)
 
 

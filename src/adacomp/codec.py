@@ -158,8 +158,12 @@ def bin_maxima(g: np.ndarray, bin_size: int) -> np.ndarray:
         raise ValueError("empty gradient vector")
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")
-    starts = np.arange(0, v.size, bin_size)
-    return np.maximum.reduceat(np.abs(v.astype(np.float64, copy=False)), starts)
+    return _bin_peaks(np.abs(v.astype(np.float64, copy=False)), bin_size)
+
+
+def _bin_peaks(magnitudes: np.ndarray, bin_size: int) -> np.ndarray:
+    """bin_maxima of values whose |.| ``magnitudes`` already holds."""
+    return np.maximum.reduceat(magnitudes, np.arange(0, magnitudes.size, bin_size))
 
 
 def layer_scale(g_max: np.ndarray) -> float:
@@ -216,7 +220,7 @@ def pack(state: CodecState, dw: GradientVector, cfg: BinConfig,
     w = dw.values.astype(np.float64)
     np.add(g, w, out=g)
     h = g + (float(cfg.scale_factor) - 1.0) * w
-    gmax = bin_maxima(np.abs(g, out=mag), cfg.bin_size)
+    gmax = _bin_peaks(np.abs(g, out=mag), cfg.bin_size)
     scale = np.float32(layer_scale(gmax))
     # an all-zero bin sends nothing, nor does a layer whose mean peak
     # underflows float32: no finite |h| reaches an infinite threshold

@@ -6,21 +6,24 @@ parameterized layer serializes its gradient as kernel values in row-major
 (out-map, in-map, row, col) order with the bias appended last; weight
 updates consume the same layout. Layers hold only their parameters:
 ``forward`` returns its output with a cache, ``backward(dy, cache,
-need_dx)`` returns the input gradient, or None if not ``need_dx``, with
-that layer's parameter gradients; nothing of a batch is stored on the
-layer. Nothing reads the model's input gradient, so ``Model.backward``
-runs no layer below the lowest parameterized one and asks that one for no
-input gradient. ReLU and max-pool select by AND with bit masks on the float32
-bit patterns, never ``np.where`` or an argmax gather: a select whose branch
-follows random data mispredicts on every other element. The conv input
-gradient adds W times a zero-padded dy into dx in runs of oh*w floats: a pad
-term W·0 = ±0.0 changes no sum started from +0.0 (never -0.0) while the
-weights are finite, as ``Cluster`` checks after every update. Only the NaN
-that a sum of two NaNs keeps may differ from a slice-by-slice scatter.
-im2col copies whole kernel rows, each run of k floats one void item (numpy
-copies floats one by one in loops of k): the items hold the same bytes in the
-same C order, so the matrix, its products and dW keep every bit. The conv bias
-adds over (b*oh, ow*out_maps) rows, the same float adds as over out_maps.
+need_dx)`` returns the input gradient, or None if not ``need_dx``, with that
+layer's parameter gradients; nothing of a batch is stored on the layer. A
+conv cache serves one backward, which empties it and frees its im2col matrix
+once dW is formed, before col2im's product exists; a second backward on it
+raises ValueError. Nothing reads the model's input gradient, so
+``Model.backward`` runs no layer below the lowest parameterized one and asks
+that one for no input gradient. ReLU and max-pool select by AND with bit
+masks on the float32 bit patterns, never ``np.where`` or an argmax gather: a
+select whose branch follows random data mispredicts on every other element.
+The conv input gradient adds W times a zero-padded dy into dx in runs of
+oh*w floats: a pad term W·0 = ±0.0 changes no sum started from +0.0 (never
+-0.0) while the weights are finite, as ``Cluster`` checks after every
+update. Only the NaN that a sum of two NaNs keeps may differ from a
+slice-by-slice scatter. im2col copies whole kernel rows, each run of k floats
+one void item (numpy copies floats one by one in loops of k): the items hold
+the same bytes in the same C order, so the matrix, its products and dW keep
+every bit. The conv bias adds over (b*oh, ow*out_maps) rows, the same float
+adds as over out_maps.
 ``Model.predict`` runs the layers below the fc head in slices of at least
 128 samples and keeps the bits of one whole-batch pass: ReLU and pool work
 element by element, and each conv output row is the product of its own im2col
@@ -111,10 +114,13 @@ class Conv5x5:
         out = cols @ self.weight.reshape(self.out_maps, -1).T
         wide = out.reshape(*ranks, b * oh, ow * self.out_maps)  # a view: the bias adds in long rows
         wide += np.tile(self.bias, ow)
-        return np.moveaxis(out.reshape(*ranks, b, oh, ow, self.out_maps), -1, -3), (cols, x.shape)
+        return np.moveaxis(out.reshape(*ranks, b, oh, ow, self.out_maps), -1, -3), [cols, x.shape]
 
     def backward(self, dy: np.ndarray, cache, need_dx: bool = True, out=None):
+        if not cache:
+            raise ValueError("conv cache is spent: the cache of a forward serves one backward")
         cols, x_shape = cache
+        cache.clear()
         *ranks, b, c, h, w = x_shape
         oh, ow = dy.shape[-2:]
         k = self.K
@@ -122,6 +128,7 @@ class Conv5x5:
         dmat = np.moveaxis(dy, -3, -1).reshape(*ranks, b * oh * ow, self.out_maps)
         dw = np.matmul(np.swapaxes(dmat, -1, -2), cols,
                        out=None if dw is None else dw.reshape(*ranks, self.out_maps, -1))
+        del cols
         grads = [dw.reshape(*ranks, *self.weight.shape), dmat.sum(axis=-2, out=db)]
         if not need_dx:
             return None, grads
@@ -255,9 +262,10 @@ class Model:
 
     def backward(self, cache: ForwardCache) -> list[np.ndarray]:
         """Gradients of each rank's mean batch loss for every parameterized
-        layer, from the cache of that batch's forward(); no input gradient.
-        One (N, size) float32 matrix per layer, which the layer writes into:
-        row r is rank r's weight gradient in row-major order, bias last."""
+        layer, from the cache of that batch's forward(), which this call
+        spends (a conv cache serves one backward); no input gradient. One
+        (N, size) float32 matrix per layer, which the layer writes into: row r
+        is rank r's weight gradient in row-major order, bias last."""
         caches, probs, labels = cache
         dy = self.head.backward(probs, labels)
         lowest = min((i for i, l in enumerate(self.layers) if l.params()), default=len(self.layers))

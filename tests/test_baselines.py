@@ -338,6 +338,32 @@ def test_onebit_residue_matches_np_where_bitwise(residue, scales):
     assert new_state.residue.tobytes() == (residue + dw.astype(np.float64) - recon).tobytes()
 
 
+def sign_means_loop(values):
+    """Each side's float64 sum, value by value from +0.0, over its count (1
+    if empty), rounded to float32: side 1 holds the values >= 0.0."""
+    sums, counts = [np.float64(0.0)] * 2, [0, 0]
+    for v in values:
+        s = int(v >= 0.0)
+        sums[s], counts[s] = sums[s] + v, counts[s] + 1
+    return np.array([sums[s] / np.float64(max(counts[s], 1)) for s in (0, 1)]).astype(np.float32)
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e308, -1e308])), max_size=80))
+@settings(max_examples=300)
+@example([])
+@example([-0.0, -0.0])
+@example([-0.0, float("nan"), -1.0])
+def test_sign_means_match_a_sequential_float64_loop(values):
+    v = np.array(values, np.float64)
+    with np.errstate(all="ignore"):
+        side, means = baselines._sign_means(v)
+        want = sign_means_loop(v)
+    assert side.dtype == np.uint8 and side.tobytes() == (v >= 0.0).view(np.uint8).tobytes()
+    # bitwise, so that the sign of a zero counts; a NaN may be any NaN
+    nan = np.isnan(want)
+    assert (np.isnan(means) == nan).all() and means[~nan].tobytes() == want[~nan].tobytes()
+
+
 # ------------------------------------------------------- shared invariants
 
 @given(codec_cases())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adacomp import codec
 from adacomp.baselines import ls_pack
 from adacomp.codec import (
     BinConfig,
@@ -82,6 +83,8 @@ def test_bin_maxima_matches_naive(case):
     expect = [max(abs(x) for x in g[s:s + bin_size])
               for s in range(0, len(g), bin_size)]
     assert got.tolist() == expect
+    # the packs reduce the |g| they already hold
+    assert codec._bin_peaks(np.abs(g), bin_size).tolist() == expect
 
 
 # --------------------------------------------------------------- layer_scale

@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import types
 from pathlib import Path
 
@@ -31,3 +32,24 @@ def test_each_call_gets_its_own_absolute_peak_and_the_run_the_highest():
     assert 2 * MIB <= peaks.calls["small"] < 3 * MIB
     assert 10 * MIB <= peaks.calls["large"] < 11 * MIB
     assert 12 * MIB <= peaks.whole < 13 * MIB
+
+
+def test_with_a_parent_each_tree_runs_in_its_own_process(tmp_path, capsys, monkeypatch):
+    # the parent side is a copy of the tree, so each side's source is known
+    root = SCRIPT.parent.parent
+    parent = tmp_path / "parent"
+    shutil.copytree(root / "src", parent / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(memory_peaks, "WORKLOADS", ("mlp-topk-n16",))
+    workers = []
+    monkeypatch.setattr(memory_peaks, "run_worker",
+                        lambda *a, f=memory_peaks.run_worker: workers.append(f(*a)) or workers[-1])
+    assert memory_peaks.main(["--parent", str(parent), "--seed", "7"]) == 0
+    assert [w["source"] for w in workers] == [str(parent / "src" / "adacomp" / "__init__.py"),
+                                              str(root / "src" / "adacomp" / "__init__.py")]
+    (before,), (after,) = (w["peaks"].values() for w in workers)
+    assert len(before) == len(after) == 4 and min(before + after) > 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[1:-4] for row in rows] == [["parent"], ["change"], ["change", "-", "parent"]]
+    for row, figures in zip(rows, [before, after, [a - b for a, b in zip(after, before)]]):
+        assert row[0] == "mlp-topk-n16"
+        assert [float(f) for f in row[-4:]] == [round(f / MIB, 1) for f in figures]

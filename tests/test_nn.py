@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -273,7 +274,8 @@ def test_backward_stops_at_the_lowest_parameterized_layer(model, x, classes):
     top = len(model.layers) - 1
     assert calls == [(i, i > lowest) for i in range(top, lowest - 1, -1)]
 
-    dx, full = full_backward_reference(model, cache)
+    # a conv cache serves one backward: the reference runs on a fresh one
+    dx, full = full_backward_reference(model, one_rank.forward(model, x, labels)[1])
     assert dx.shape == (1, *x.shape)
     assert len(grads) == len(full)
     for got, want in zip(grads, full):
@@ -289,9 +291,54 @@ def test_every_layer_skips_its_input_gradient_on_request():
         dy = rng.standard_normal(y.shape).astype(np.float32)
         dx, grads = layer.backward(dy, cache, need_dx=True)
         assert dx.shape == x.shape
-        skipped, same = layer.backward(dy, cache, need_dx=False)
+        skipped, same = layer.backward(dy, layer.forward(x)[1], need_dx=False)
         assert skipped is None
         assert [g.tobytes() for g in same] == [g.tobytes() for g in grads]
+
+
+def test_a_spent_conv_cache_fails_by_name():
+    rng = np.random.default_rng(43)
+    model = build_cnn(1, [2, 3], 8, 4, seed=5, image_hw=(16, 16))
+    x = rng.standard_normal((1, 3, 1, 16, 16)).astype(np.float32)
+    _, cache = model.forward(x, np.array([[0, 1, 2]]))
+    model.backward(cache)
+    with pytest.raises(ValueError, match="conv cache is spent"):
+        model.backward(cache)
+    conv = model.layers[0]
+    y, conv_cache = conv.forward(x)
+    conv.backward(np.ones_like(y), conv_cache, need_dx=False)
+    for need_dx in (False, True):
+        with pytest.raises(ValueError, match="conv cache is spent"):
+            conv.backward(np.ones_like(y), conv_cache, need_dx=need_dx)
+
+
+def test_conv_backward_frees_its_im2col_matrix_before_col2im():
+    # the cnn-n1 model at batch 128: with conv1's cols (6.5 MB) still held
+    # when col2im's rows (9.8 MB) is made, its backward peaks 11.3 MiB above
+    # its entry level; with cols freed first, 5.0 MiB
+    model = build_cnn(1, [8, 16], 64, 10, seed=7)
+    rng = np.random.default_rng(47)
+    x = rng.random((1, 128, 1, 28, 28), dtype=np.float32)
+    conv1, peaks = model.layers[3], []
+    backward = conv1.backward
+
+    def traced(dy, c, need_dx=True, **out):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = backward(dy, c, need_dx=need_dx, **out)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return result
+
+    conv1.backward = traced
+    tracemalloc.start()  # before the forward, so that freeing cols counts
+    try:
+        _, cache = model.forward(x, rng.integers(0, 10, (1, 128)))
+        alive = weakref.ref(cache[0][3][0])
+        model.backward(cache)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 6 * 2**20
+    assert alive() is None
 
 
 # ------------------------------------------------------- bit-mask selects
@@ -468,19 +515,24 @@ def test_conv_input_gradient_matches_slice_scatter_bitwise(x_shape, out_maps):
     conv = Conv5x5(c, out_maps, rng)
     conv.weight.flat[rng.random(conv.weight.size) < 0.1] = 0.0
     x = rng.standard_normal(x_shape).astype(np.float32)
-    y, cache = conv.forward(x)
+    y = conv.forward(x)[0]
+
+    def input_gradient(dy):
+        # a conv cache serves one backward: each dy gets a fresh forward
+        return conv.backward(dy, conv.forward(x)[1])[0]
+
     for share in (0.0, 0.02, 0.5):
         for dy in _col2im_dy(rng, y.shape, share):
-            dx = conv.backward(dy, cache)[0]
+            dx = input_gradient(dy)
             assert dx.flags.c_contiguous
             assert_same_bits_but_nan_payloads(dx, col2im_reference(conv, dy, x_shape))
     # one NaN pattern and no infinity: no two NaNs differ, so every bit holds
     payload = np.array([0x7FC00123], np.uint32).view(np.float32)[0]
     dy = rng.standard_normal(y.shape).astype(np.float32)
     dy[rng.random(y.shape) < 0.05] = payload
-    assert_same_bits(conv.backward(dy, cache)[0], col2im_reference(conv, dy, x_shape))
+    assert_same_bits(input_gradient(dy), col2im_reference(conv, dy, x_shape))
     # an all -0.0 dy gives +0.0 everywhere, as the slice adds from +0.0 do
-    dx = conv.backward(np.full(y.shape, -0.0, dtype=np.float32), cache)[0]
+    dx = input_gradient(np.full(y.shape, -0.0, dtype=np.float32))
     assert dx.flags.c_contiguous and dx.shape == x_shape and not dx.view(np.int32).any()
 
 
@@ -608,9 +660,9 @@ def test_conv_serialization_layout():
     conv = Conv5x5(3, 2, rng)
     model = Model([conv, FullyConnected(2, 2, rng)], classes=2)
     x = rng.uniform(-1, 1, (2, 4, 3, 5, 5)).astype(np.float32)
-    _, cache = model.forward(x, np.array([[0, 1, 1, 0], [1, 1, 0, 0]]))
-    rows = model.backward(cache)
-    _, full = full_backward_reference(model, cache)
+    y = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+    rows = model.backward(model.forward(x, y)[1])
+    _, full = full_backward_reference(model, model.forward(x, y)[1])
     grad_weight, grad_bias = full[0]
     assert rows[0].shape == (2, 152)
     for rank, row in enumerate(rows[0]):
