@@ -22,18 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
+from pinned import run_pinned
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("cnn-n1", "cnn-n32", "mlp-topk-n16")
 WATCHED = ("build_datasets", "sync_step", "evaluate")
 MIB = 2**20
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class Peaks:
@@ -82,7 +81,7 @@ def measure(run, cfg, out_dir, watched) -> Peaks:
     return peaks
 
 
-def workload_peaks(tree: Path, seed: int, workloads: list[str]) -> dict:
+def workload_peaks(tree: Path, seed: int) -> dict:
     """{"source": the file ``adacomp`` was imported from, under ``tree``/src,
     "peaks": workload -> bytes at the peak of each WATCHED call and of the
     whole run}; call once per process."""
@@ -96,19 +95,10 @@ def workload_peaks(tree: Path, seed: int, workloads: list[str]) -> dict:
                (sim.Cluster, "evaluate", "evaluate")]
     figures = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in workloads:
+        for workload in WORKLOADS:
             peaks = measure(runner.run, train_config(workload, seed), Path(tmp) / workload, watched)
             figures[workload] = [peaks.calls.get(n, 0) for n in WATCHED] + [peaks.whole]
     return {"source": adacomp.__file__, "peaks": figures}
-
-
-def run_worker(tree: Path, seed: int) -> dict:
-    """``workload_peaks`` of WORKLOADS in a fresh process with one BLAS thread."""
-    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
-           "--seed", str(seed), "--workloads", ",".join(WORKLOADS)]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -116,15 +106,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--workloads", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
-        print(json.dumps(workload_peaks(args.worker, args.seed, args.workloads.split(","))))
+        print(json.dumps(workload_peaks(args.worker, args.seed)))
         return 0
 
     sides = {"change": ROOT} if args.parent is None else {"parent": args.parent.resolve(),
                                                          "change": ROOT}
-    figures = {side: run_worker(tree, args.seed)["peaks"] for side, tree in sides.items()}
+    script = Path(__file__).resolve()
+    figures = {side: run_pinned(script, ["--worker", str(tree), "--seed", str(args.seed)])["peaks"]
+               for side, tree in sides.items()}
     if args.parent is not None:
         figures["change - parent"] = {w: [c - p for c, p in zip(figures["change"][w],
                                                                  figures["parent"][w])]

@@ -26,12 +26,12 @@ import argparse
 import importlib
 import importlib.util
 import json
-import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+
+from pinned import run_pinned
 
 ROOT = Path(__file__).resolve().parent.parent
 GLOBAL_BATCH = 128
@@ -45,7 +45,6 @@ MODELS = {
             "codec": {"fc": {"kind": "topk", "fraction": 0.01}}},
 }
 WARMUP = 3
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load(checkout: Path, name: str):
@@ -95,13 +94,10 @@ def interleave(sides: dict[str, Path], learners: list[int], steps: int) -> dict:
 
 def run_worker(parent: Path | None, learners: list[int], steps: int) -> dict:
     """``interleave`` in a fresh process with one BLAS thread."""
-    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
-           "--learners", ",".join(map(str, learners)), "--steps", str(steps)]
+    args = ["--worker", "--learners", ",".join(map(str, learners)), "--steps", str(steps)]
     if parent is not None:
-        cmd += ["--parent", str(parent)]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        args += ["--parent", str(parent)]
+    return run_pinned(Path(__file__).resolve(), args)
 
 
 def main(argv=None) -> int:

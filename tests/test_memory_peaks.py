@@ -39,17 +39,21 @@ def test_with_a_parent_each_tree_runs_in_its_own_process(tmp_path, capsys, monke
     root = SCRIPT.parent.parent
     parent = tmp_path / "parent"
     shutil.copytree(root / "src", parent / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    monkeypatch.setattr(memory_peaks, "WORKLOADS", ("mlp-topk-n16",))
     workers = []
-    monkeypatch.setattr(memory_peaks, "run_worker",
-                        lambda *a, f=memory_peaks.run_worker: workers.append(f(*a)) or workers[-1])
+    monkeypatch.setattr(memory_peaks, "run_pinned",
+                        lambda *a, f=memory_peaks.run_pinned: workers.append(f(*a)) or workers[-1])
     assert memory_peaks.main(["--parent", str(parent), "--seed", "7"]) == 0
     assert [w["source"] for w in workers] == [str(parent / "src" / "adacomp" / "__init__.py"),
                                               str(root / "src" / "adacomp" / "__init__.py")]
-    (before,), (after,) = (w["peaks"].values() for w in workers)
-    assert len(before) == len(after) == 4 and min(before + after) > 0
+    before, after = (w["peaks"] for w in workers)
+    assert list(before) == list(after) == list(memory_peaks.WORKLOADS)
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    assert [row[1:-4] for row in rows] == [["parent"], ["change"], ["change", "-", "parent"]]
-    for row, figures in zip(rows, [before, after, [a - b for a, b in zip(after, before)]]):
-        assert row[0] == "mlp-topk-n16"
-        assert [float(f) for f in row[-4:]] == [round(f / MIB, 1) for f in figures]
+    assert len(rows) == 3 * len(memory_peaks.WORKLOADS)
+    for i, workload in enumerate(memory_peaks.WORKLOADS):
+        b, a = before[workload], after[workload]
+        assert len(b) == len(a) == 4 and min(b + a) > 0
+        group = rows[3 * i:3 * i + 3]
+        assert [row[1:-4] for row in group] == [["parent"], ["change"], ["change", "-", "parent"]]
+        for row, figures in zip(group, [b, a, [x - y for x, y in zip(a, b)]]):
+            assert row[0] == workload
+            assert [float(f) for f in row[-4:]] == [round(f / MIB, 1) for f in figures]
