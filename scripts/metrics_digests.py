@@ -27,15 +27,20 @@ WORKLOADS = ("cnn-n1", "cnn-n32", "mlp-topk-n16")
 OPENBLAS_QUERIES = ("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_")
 
 
-def openblas_kernel(libs_dir=None) -> tuple[str, str]:
-    """The build string and the kernel (core name) of the scipy-openblas
-    library in `libs_dir`, by default the one bundled with numpy; "unknown"
-    for each that no such library exports."""
+def openblas_library(libs_dir=None) -> ctypes.CDLL | None:
+    """The scipy-openblas library in `libs_dir`, by default the one bundled
+    with numpy, or None where there is none."""
     if libs_dir is None:
         import numpy
         libs_dir = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
     libs = sorted(Path(libs_dir).glob("libscipy_openblas64_*.so"))
-    handle = ctypes.CDLL(str(libs[0])) if libs else None
+    return ctypes.CDLL(str(libs[0])) if libs else None
+
+
+def openblas_kernel(libs_dir=None) -> tuple[str, str]:
+    """The build string and the kernel (core name) of `openblas_library`;
+    "unknown" for each that no such library exports."""
+    handle = openblas_library(libs_dir)
     found = []
     for name in OPENBLAS_QUERIES:
         query = getattr(handle, name, None)

@@ -115,10 +115,12 @@ def synth_digits(n: int, seed: int, noise: float = 0.35, shift: int = 2,
     # np.roll's rule: pixel i of a shifted image is pixel (i - shift) mod 28
     rows = (np.arange(28) - dy[:, None]) % 28
     cols = (np.arange(28) - dx[:, None]) % 28
-    # (image + noise * normals) * 255 in the normals' buffer: IEEE + and * commute
+    # (image + noise * normals) * 255 in the normals' buffer (IEEE + and * commute),
+    # drawn whole (ROADMAP: mmap threshold); the prototypes add 256 images a gather
     z = rng.standard_normal((n, 28, 28))
     z *= noise
-    z += protos[labels[:, None, None], rows[:, :, None], cols[:, None, :]]
+    for i in (slice(a, a + 256) for a in range(0, n, 256)):
+        z[i] += protos[labels[i, None, None], rows[i, :, None], cols[i, None, :]]
     z *= 255.0
     x = np.clip(z, 0, 255, out=z).astype(np.uint8) / np.float32(255.0)
     return Dataset(x.reshape(n, 1, 28, 28), labels, split, num_classes=10)

@@ -9,8 +9,8 @@ updates consume the same layout. Layers hold only their parameters:
 need_dx)`` returns the input gradient, or None if not ``need_dx``, with that
 layer's parameter gradients; nothing of a batch is stored on the layer. A
 conv cache serves one backward, which empties it and frees its im2col matrix
-once dW is formed, before col2im's product exists; a second backward on it
-raises ValueError. Nothing reads the model's input gradient, so
+once dW is formed, before col2im's first product block exists; a second
+backward on it raises ValueError. Nothing reads the model's input gradient, so
 ``Model.backward`` runs no layer below the lowest parameterized one and asks
 that one for no input gradient. ReLU and max-pool select by AND with bit
 masks on the float32 bit patterns, never ``np.where`` or an argmax gather: a
@@ -19,11 +19,17 @@ The conv input gradient adds W times a zero-padded dy into dx in runs of
 oh*w floats: a pad term W·0 = ±0.0 changes no sum started from +0.0 (never
 -0.0) while the weights are finite, as ``Cluster`` checks after every
 update. Only the NaN that a sum of two NaNs keeps may differ from a
-slice-by-slice scatter. im2col copies whole kernel rows, each run of k floats
-one void item (numpy copies floats one by one in loops of k): the items hold
-the same bytes in the same C order, so the matrix, its products and dW keep
-every bit. The conv bias adds over (b*oh, ow*out_maps) rows, the same float
-adds as over out_maps.
+slice-by-slice scatter. Its product W2ᵀ @ dy forms 48 rows at a time (2.4 MB
+for conv1 at batch 128, not 9.8): on one BLAS thread, OpenBLAS 0.3.31's
+SkylakeX, Haswell and Sandybridge kernels give blocks of a multiple of 24 rows
+the bits of one whole product, where 40- or 25-row blocks change Haswell's and
+a 1-row block, a matrix-vector product, rounds otherwise on the two older
+kernels; so a 1-row tail (from 25 input maps) joins the block before it. The
+digests ROADMAP lists per kernel pin this. im2col copies whole kernel rows,
+each run of k floats one void item (numpy copies floats one by one in loops of
+k): the items hold the same bytes in the same C order, so the matrix, its
+products and dW keep every bit. The conv bias adds over (b*oh, ow*out_maps)
+rows, the same float adds as over out_maps.
 ``Model.predict`` runs the layers below the fc head in slices of at least
 128 samples and keeps the bits of one whole-batch pass: ReLU and pool work
 element by element, and each conv output row is the product of its own im2col
@@ -133,18 +139,20 @@ class Conv5x5:
         if not need_dx:
             return None, grads
         # col2im: row (c, r, q) of W2ᵀ @ dy, dy zero-padded from ow to w, lies
-        # like dx's flat (h, w) planes and adds in at shift r*w + q, so each
-        # dx element sums its 25 terms in (r, q) order from +0.0, plus ±0.0
-        # pad terms (module docstring). A run ends q floats short: all pad.
-        n = oh * w
+        # like dx's (h, w) plane c and adds in at shift r*w + q, so each dx
+        # element sums its 25 terms in (r, q) order from +0.0, plus ±0.0 pad
+        # terms. A run ends q floats short: all pad. The product forms in
+        # blocks of 48 rows, never 1 (module docstring), each added in whole.
+        n, w2t = oh * w, self.weight.reshape(self.out_maps, -1).T
         dyp = np.zeros((*ranks, self.out_maps, b, oh, w), dtype=np.float32)
         dyp[..., :ow] = np.moveaxis(dy, -3, -4)
-        rows = (self.weight.reshape(self.out_maps, -1).T @ dyp.reshape(*ranks, self.out_maps, b * n)
-                ).reshape(*ranks, c, k, k, b, n)
-        dx = np.zeros((*ranks, b, c, h * w), dtype=np.float32)
-        for r in range(k):
-            for q in range(k):
-                dx[..., r * w + q:r * w + n] += np.swapaxes(rows[..., r, q, :, :n - q], -3, -2)
+        dx = np.zeros((*ranks, b, c * h * w), dtype=np.float32)
+        ends = [*range(48, len(w2t) - 1, 48), len(w2t)]
+        for s, e in zip([0, *ends], ends):
+            rows = (w2t[s:e] @ dyp.reshape(*ranks, self.out_maps, b * n)).reshape(*ranks, e - s, b, n)
+            for j in range(s, e):
+                at, q = j // (k * k) * h * w + j // k % k * w + j % k, j % k
+                dx[..., at:at + n - q] += rows[..., j - s, :, :n - q]
         return dx.reshape(x_shape), grads
 
 

@@ -134,8 +134,11 @@ def test_digits_match_roll_reference_bitwise(kwargs):
 
 
 def test_digits_heap_peak_of_a_cnn_training_set():
-    # the per-image np.roll loop and its float64 temporaries peaked at 37.5 MiB;
-    # the first call also allocates numpy's one-off caches, so warm up first
+    # the per-image np.roll loop and its float64 temporaries peaked at 37.5 MiB,
+    # one prototype gather of all 2,048 images at 25.7 MiB; gathers of 256
+    # images peak at 20.9 MiB, the normals' buffer and the uint8 and float32
+    # images alive together. The first call also allocates numpy's one-off
+    # caches, so warm up first
     synth_digits(1, 7)
     tracemalloc.start()
     try:
@@ -143,7 +146,7 @@ def test_digits_heap_peak_of_a_cnn_training_set():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 27 * 2**20
+    assert peak <= 22 * 2**20
 
 
 @pytest.mark.parametrize("header", [struct.pack(">IIII", 0x803, 4, 2**31, 2**31),

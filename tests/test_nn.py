@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from adacomp.nn import (
 )
 
 import one_rank
+from metrics_digests import openblas_kernel, openblas_library
 from oracles import finite_difference_grads, full_backward_reference, im2col_reference
 
 
@@ -314,8 +319,10 @@ def test_a_spent_conv_cache_fails_by_name():
 
 def test_conv_backward_frees_its_im2col_matrix_before_col2im():
     # the cnn-n1 model at batch 128: with conv1's cols (6.5 MB) still held
-    # when col2im's rows (9.8 MB) is made, its backward peaks 11.3 MiB above
-    # its entry level; with cols freed first, 5.0 MiB
+    # when col2im's whole product (9.8 MB) is made, its backward peaks 11.3
+    # MiB above its entry level; with cols freed first, 5.0 MiB. Formed in
+    # 48-row blocks (2.4 MB each) after cols is freed, the product stays
+    # below entry, and the peak is dW's 0.5 MiB copy of dy
     model = build_cnn(1, [8, 16], 64, 10, seed=7)
     rng = np.random.default_rng(47)
     x = rng.random((1, 128, 1, 28, 28), dtype=np.float32)
@@ -337,7 +344,7 @@ def test_conv_backward_frees_its_im2col_matrix_before_col2im():
         model.backward(cache)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 1 and peaks[0] < 6 * 2**20
+    assert len(peaks) == 1 and peaks[0] < 2**20
     assert alive() is None
 
 
@@ -534,6 +541,94 @@ def test_conv_input_gradient_matches_slice_scatter_bitwise(x_shape, out_maps):
     # an all -0.0 dy gives +0.0 everywhere, as the slice adds from +0.0 do
     dx = input_gradient(np.full(y.shape, -0.0, dtype=np.float32))
     assert dx.flags.c_contiguous and dx.shape == x_shape and not dx.view(np.int32).any()
+
+
+def col2im_one_product(conv, dy, x_shape):
+    """The conv input gradient with W2ᵀ @ dy formed whole, as one product,
+    then added into dx in 25 (r, q) slices over every input map at once."""
+    *ranks, b, c, h, w = x_shape
+    oh, ow = dy.shape[-2:]
+    k, n = conv.K, oh * w
+    dyp = np.zeros((*ranks, conv.out_maps, b, oh, w), dtype=np.float32)
+    dyp[..., :ow] = np.moveaxis(dy, -3, -4)
+    rows = (conv.weight.reshape(conv.out_maps, -1).T @ dyp.reshape(*ranks, conv.out_maps, b * n)
+            ).reshape(*ranks, c, k, k, b, n)
+    dx = np.zeros((*ranks, b, c, h * w), dtype=np.float32)
+    for r in range(k):
+        for q in range(k):
+            dx[..., r * w + q:r * w + n] += np.swapaxes(rows[..., r, q, :, :n - q], -3, -2)
+    return dx.reshape(x_shape)
+
+
+# (in maps, out maps): 25 in maps make 625 product rows, whose 1-row tail joins
+# the block before it
+COL2IM_BLOCK_CASES = [(c, out_maps) for c in (1, 2, 3, 8, 25) for out_maps in (3, 16)]
+
+
+def check_col2im_blocks(c, out_maps):
+    """The blocked col2im gives the bytes of the one-product form at 1 and 3
+    ranks and local batches of 1, 2 and 128."""
+    for ranks in (1, 3):
+        for b in (1, 2, 128):
+            rng = np.random.default_rng([c, out_maps, ranks, b])
+            conv = Conv5x5(c, out_maps, rng)
+            x_shape = (ranks, b, c, 8, 11)
+            y, cache = conv.forward(rng.standard_normal(x_shape).astype(np.float32))
+            dy = rng.standard_normal(y.shape).astype(np.float32)
+            got, want = conv.backward(dy, cache)[0], col2im_one_product(conv, dy, x_shape)
+            assert got.dtype == np.float32 and got.shape == x_shape
+            assert got.tobytes() == want.tobytes(), f"{c} to {out_maps} maps, {ranks} ranks, b = {b}"
+
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's scipy-openblas on one thread, as the benchmark and the digest
+    script run it, for the test's duration; other BLAS libraries as they are.
+    On the Haswell kernel the one product's own bits change with the thread
+    count, so only one thread gives a reference that holds on every host."""
+    lib = openblas_library()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        yield
+        return
+    threads = get()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
+
+
+@pytest.mark.parametrize("c, out_maps", COL2IM_BLOCK_CASES)
+def test_col2im_blocks_keep_the_bits_of_one_product(c, out_maps, one_blas_thread):
+    check_col2im_blocks(c, out_maps)
+
+
+@pytest.mark.parametrize("kernel, flag", [("Haswell", "avx2"), ("Sandybridge", "avx")])
+def test_col2im_blocks_keep_the_bits_of_one_product_under_a_forced_kernel(kernel, flag):
+    # OpenBLAS rounds a 1-row product (a matrix-vector product) otherwise on
+    # these kernels, and 40- or 25-row blocks too; the host's own kernel runs
+    # in-process above
+    try:
+        flags = {word for line in Path("/proc/cpuinfo").read_text().splitlines()
+                 if line.startswith("flags") for word in line.split()}
+    except OSError:
+        flags = set()
+    if flag not in flags:
+        pytest.skip(f"/proc/cpuinfo lists no {flag}, which OpenBLAS's {kernel} kernel needs")
+    if openblas_kernel()[1] == "unknown":
+        pytest.skip("numpy's BLAS is not the scipy-openblas build, so no kernel can be forced")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(str(p) for p in (tests.parent / "src", tests.parent / "scripts", tests))
+    code = ("from metrics_digests import openblas_kernel; import test_nn\n"
+            "print(openblas_kernel()[1])\n"
+            "for case in test_nn.COL2IM_BLOCK_CASES:\n"
+            "    test_nn.check_col2im_blocks(*case)\n")
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [kernel]
 
 
 # ------------------------------------------------------------- rank axis
