@@ -15,21 +15,23 @@ backward on it raises ValueError. Nothing reads the model's input gradient, so
 that one for no input gradient. ReLU and max-pool select by AND with bit
 masks on the float32 bit patterns, never ``np.where`` or an argmax gather: a
 select whose branch follows random data mispredicts on every other element.
-The conv input gradient adds W times a zero-padded dy into dx in runs of
-oh*w floats: a pad term W·0 = ±0.0 changes no sum started from +0.0 (never
--0.0) while the weights are finite, as ``Cluster`` checks after every
-update. Only the NaN that a sum of two NaNs keeps may differ from a
-slice-by-slice scatter. Its product W2ᵀ @ dy forms 48 rows at a time (2.4 MB
-for conv1 at batch 128, not 9.8): on one BLAS thread, OpenBLAS 0.3.31's
-SkylakeX, Haswell and Sandybridge kernels give blocks of a multiple of 24 rows
-the bits of one whole product, where 40- or 25-row blocks change Haswell's and
-a 1-row block, a matrix-vector product, rounds otherwise on the two older
-kernels; so a 1-row tail (from 25 input maps) joins the block before it. The
-digests ROADMAP lists per kernel pin this. im2col copies whole kernel rows,
-each run of k floats one void item (numpy copies floats one by one in loops of
-k): the items hold the same bytes in the same C order, so the matrix, its
-products and dW keep every bit. The conv bias adds over (b*oh, ow*out_maps)
-rows, the same float adds as over out_maps.
+The conv input gradient adds W times a zero-padded dy into dx, both held
+(..., h, b, w), in runs of oh*b*w floats: a pad term W·0 = ±0.0 changes no
+sum started from +0.0 (never -0.0) while the weights are finite, as
+``Cluster`` checks after every update. Only the NaN that a sum of two NaNs
+keeps may differ from a slice-by-slice scatter. Its product W2ᵀ @ dy forms 48
+rows at a time (2.4 MB for conv1 at batch 128, not 9.8): on one BLAS thread,
+OpenBLAS 0.3.31's SkylakeX, Haswell and Sandybridge kernels give blocks of a
+multiple of 24 rows the bits of one whole product, where 40- or 25-row blocks
+change Haswell's and a 1-row block, a matrix-vector product, rounds otherwise
+on the two older kernels; so a 1-row tail (from 25 input maps) joins the block
+before it. Haswell's kernel also rounds by column position, so its bits
+follow the (oh, b, w) column order. The digests ROADMAP lists per kernel pin
+this. im2col copies whole kernel rows, each run of k floats one void item
+(numpy copies floats one by one in loops of k): the items hold the same bytes
+in the same C order, so the matrix, its products and dW keep every bit. The
+conv bias adds over (b*oh, ow*out_maps) rows, the same float adds as over
+out_maps.
 ``Model.predict`` runs the layers below the fc head in slices of at least
 128 samples and keeps the bits of one whole-batch pass: ReLU and pool work
 element by element, and each conv output row is the product of its own im2col
@@ -138,22 +140,23 @@ class Conv5x5:
         grads = [dw.reshape(*ranks, *self.weight.shape), dmat.sum(axis=-2, out=db)]
         if not need_dx:
             return None, grads
-        # col2im: row (c, r, q) of W2ᵀ @ dy, dy zero-padded from ow to w, lies
-        # like dx's (h, w) plane c and adds in at shift r*w + q, so each dx
-        # element sums its 25 terms in (r, q) order from +0.0, plus ±0.0 pad
-        # terms. A run ends q floats short: all pad. The product forms in
-        # blocks of 48 rows, never 1 (module docstring), each added in whole.
-        n, w2t = oh * w, self.weight.reshape(self.out_maps, -1).T
-        dyp = np.zeros((*ranks, self.out_maps, b, oh, w), dtype=np.float32)
-        dyp[..., :ow] = np.moveaxis(dy, -3, -4)
-        dx = np.zeros((*ranks, b, c * h * w), dtype=np.float32)
+        # col2im: with dy zero-padded from ow to w and laid out (oh, b, w), row
+        # (c, r, q) of W2ᵀ @ dyp lies like plane c of dx held as (c, h, b, w)
+        # and adds in as one run at shift r*b*w + q, so each dx element sums
+        # its 25 terms in (r, q) order from +0.0, plus ±0.0 pad terms. A run
+        # ends q floats short: all pad. The product forms in blocks of 48
+        # rows, never 1 (module docstring), each added in whole.
+        n, w2t = oh * b * w, self.weight.reshape(self.out_maps, -1).T
+        dyp = np.zeros((*ranks, self.out_maps, oh, b, w), dtype=np.float32)
+        dyp[..., :ow] = np.moveaxis(dy, -4, -2)
+        dx = np.zeros((*ranks, c, h * b * w), dtype=np.float32)
         ends = [*range(48, len(w2t) - 1, 48), len(w2t)]
         for s, e in zip([0, *ends], ends):
-            rows = (w2t[s:e] @ dyp.reshape(*ranks, self.out_maps, b * n)).reshape(*ranks, e - s, b, n)
+            rows = w2t[s:e] @ dyp.reshape(*ranks, self.out_maps, n)
             for j in range(s, e):
-                at, q = j // (k * k) * h * w + j // k % k * w + j % k, j % k
-                dx[..., at:at + n - q] += rows[..., j - s, :, :n - q]
-        return dx.reshape(x_shape), grads
+                at, q = j // k % k * b * w + j % k, j % k
+                dx[..., j // (k * k), at:at + n - q] += rows[..., j - s, :n - q]
+        return np.ascontiguousarray(np.moveaxis(dx.reshape(*ranks, c, h, b, w), -2, -4)), grads
 
 
 class ReLU:
@@ -342,15 +345,21 @@ def build_mlp(input_dim: int, hidden: list[int], classes: int, seed: int) -> Mod
 
 def build_cnn(in_maps: int, conv_maps: list[int], fc_hidden: int, classes: int,
               seed: int, image_hw: tuple[int, int] = (28, 28)) -> Model:
-    """Conv(5x5)+ReLU+pool blocks followed by two fully-connected layers."""
+    """Conv(5x5)+pool+ReLU blocks followed by two fully-connected layers.
+    Both select by bit masks and ReLU is monotone, so pooling first gives the
+    bits of ReLU then pool, outputs, gradients and predictions alike, while
+    the ReLU runs on a quarter of the elements. The orders part only where a
+    window holds a NaN and a positive value: ReLU first turns the NaN into
+    +0.0 and passes the positive value and its gradient on; pool first picks
+    the NaN, which the ReLU turns into +0.0 with a +0.0 gradient."""
     rng = np.random.default_rng(seed)
     layers: list = []
     maps = in_maps
     h, w = image_hw
     for out_maps in conv_maps:
         layers.append(Conv5x5(maps, out_maps, rng))
-        layers.append(ReLU())
         layers.append(MaxPool2x2())
+        layers.append(ReLU())
         h, w = (h - 4) // 2, (w - 4) // 2
         maps = out_maps
     flat = maps * h * w

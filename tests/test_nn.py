@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +15,9 @@ from adacomp.nn import (
     split_vector,
 )
 
+import forced_kernel
 import one_rank
-from metrics_digests import openblas_kernel, openblas_library
+from metrics_digests import openblas_library
 from oracles import finite_difference_grads, full_backward_reference, im2col_reference
 
 
@@ -468,6 +465,101 @@ def test_maxpool_matches_argmax_gather_bitwise(shape):
         assert not dx[..., :, w // 2 * 2:].view(np.int32).any()
 
 
+# -------------------------------------------------------- pool before ReLU
+
+def _pair(first, second, x, dy):
+    """Output and input gradient of two layers run one after the other."""
+    y, first_cache = first.forward(x)
+    y, second_cache = second.forward(y)
+    return y, first.backward(second.backward(dy, second_cache)[0], first_cache)[0]
+
+
+def _windows(x):
+    """The 2x2 windows of x, (..., oh, ow, 4) in row-major order."""
+    h, w = x.shape[-2] // 2 * 2, x.shape[-1] // 2 * 2
+    return np.stack([x[..., r:h:2, q:w:2] for r in (0, 1) for q in (0, 1)], axis=-1)
+
+
+def _window_kinds(x):
+    """How many windows of x are all negative, tie on their maximum, and hold
+    both +0.0 and -0.0 as their maximum."""
+    v = _windows(x)
+    top = v.max(axis=-1, keepdims=True)
+    bits = v.view(np.int32)
+    signed = (top[..., 0] == 0) & (bits == 0).any(axis=-1) & (bits == np.int32(-2**31)).any(axis=-1)
+    return (v < 0).all(axis=-1).sum(), ((v == top).sum(axis=-1) > 1).sum(), signed.sum()
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+def test_pool_then_relu_gives_the_bits_of_relu_then_pool(ranks):
+    # draws from few values make all-negative windows, ties and windows of
+    # +0.0 beside -0.0 common; 7x9 planes leave an odd trailing row and col
+    rng = np.random.default_rng(ranks)
+    values = np.array([0.0, -0.0, 1, -1, 2, -2, np.inf, -np.inf, 1e-45, -1e-45], np.float32)
+    x = values[rng.integers(0, len(values), (ranks, 4, 3, 7, 9))]
+    assert min(_window_kinds(x)) > 0
+    dy_shape = (ranks, 4, 3, 3, 4)
+    for dy in (_specials(rng, dy_shape), rng.standard_normal(dy_shape).astype(np.float32)):
+        y, dx = _pair(MaxPool2x2(), ReLU(), x, dy)
+        want_y, want_dx = _pair(ReLU(), MaxPool2x2(), x, dy)
+        assert_same_bits(y, want_y)
+        assert_same_bits(dx, want_dx)
+
+
+def test_pool_then_relu_parts_from_relu_then_pool_only_beside_a_nan():
+    # a NaN beside a positive value: ReLU first drops the NaN and passes the
+    # 3 and its gradient; pool first picks the NaN, which the ReLU makes +0.0
+    # with a +0.0 gradient. A NaN beside no positive value gives +0.0 in both.
+    nan = np.float32(np.nan)
+    x = np.array([[nan, 3, nan, -1], [1, -1, -0.0, -2]], np.float32)[None, None, None]
+    dy = np.array([5, 7], np.float32).reshape(1, 1, 1, 1, 2)
+    y, dx = _pair(MaxPool2x2(), ReLU(), x, dy)
+    assert_same_bits(y, np.zeros((1, 1, 1, 1, 2), np.float32))
+    assert_same_bits(dx, np.zeros(x.shape, np.float32))
+    y, dx = _pair(ReLU(), MaxPool2x2(), x, dy)
+    assert_same_bits(y, np.array([3, 0], np.float32).reshape(1, 1, 1, 1, 2))
+    assert_same_bits(dx, np.array([[0, 5, 0, 0], [0, 0, 0, 0]], np.float32)[None, None, None])
+
+
+def _relu_first(model):
+    """The model with each MaxPool2x2 → ReLU pair run as ReLU → MaxPool2x2,
+    sharing its layers."""
+    layers = list(model.layers)
+    for i in range(len(layers) - 1):
+        if (layers[i].kind, layers[i + 1].kind) == ("pool", "relu"):
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return Model(layers, model.head.classes)
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+def test_build_cnn_pools_before_relu_with_the_bits_of_relu_first(ranks):
+    model = build_cnn(1, [4, 6], 12, 5, seed=3, image_hw=(16, 16))
+    assert [l.kind for l in model.layers] == ["conv", "pool", "relu"] * 2 + ["fc", "relu", "fc"]
+    relu_first = _relu_first(model)
+    assert [l.kind for l in relu_first.layers] == ["conv", "relu", "pool"] * 2 + ["fc", "relu", "fc"]
+    rng = np.random.default_rng(ranks)
+    # small integer weights and inputs make exact conv outputs, whose windows
+    # tie, hold zeros or are all negative
+    for conv in model.layers[0], model.layers[3]:
+        conv.weight[:] = rng.integers(-1, 2, conv.weight.shape)
+    x = rng.integers(-2, 3, (ranks, 6, 1, 16, 16)).astype(np.float32)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    labels = rng.integers(0, 5, (ranks, 6))
+    assert min(_window_kinds(model.layers[0].forward(x)[0])[:2]) > 0
+    # the layers after the pair see the same input: the logits keep their bits
+    got, want = x, x
+    for a, b in zip(model.layers, relu_first.layers):
+        got, want = a.forward(got)[0], b.forward(want)[0]
+    assert_same_bits(got, want)
+    losses, cache = model.forward(x, labels)
+    want_losses, want_cache = relu_first.forward(x, labels)
+    assert losses == want_losses
+    for g, w in zip(model.backward(cache), relu_first.backward(want_cache), strict=True):
+        assert_same_bits(g, w)
+    for rank in range(ranks):
+        assert model.predict(x[rank]).tobytes() == relu_first.predict(x[rank]).tobytes()
+
+
 # ------------------------------------------------------------- col2im
 
 def col2im_reference(conv, dy, x_shape):
@@ -544,20 +636,21 @@ def test_conv_input_gradient_matches_slice_scatter_bitwise(x_shape, out_maps):
 
 
 def col2im_one_product(conv, dy, x_shape):
-    """The conv input gradient with W2ᵀ @ dy formed whole, as one product,
-    then added into dx in 25 (r, q) slices over every input map at once."""
+    """The conv input gradient with W2ᵀ @ dy formed whole, as one product over
+    the engine's (oh, b, w) columns, then added into dx, held as (c, h, b, w),
+    in 25 (r, q) runs over every input map at once."""
     *ranks, b, c, h, w = x_shape
     oh, ow = dy.shape[-2:]
-    k, n = conv.K, oh * w
-    dyp = np.zeros((*ranks, conv.out_maps, b, oh, w), dtype=np.float32)
-    dyp[..., :ow] = np.moveaxis(dy, -3, -4)
-    rows = (conv.weight.reshape(conv.out_maps, -1).T @ dyp.reshape(*ranks, conv.out_maps, b * n)
-            ).reshape(*ranks, c, k, k, b, n)
-    dx = np.zeros((*ranks, b, c, h * w), dtype=np.float32)
+    k, n = conv.K, oh * b * w
+    dyp = np.zeros((*ranks, conv.out_maps, oh, b, w), dtype=np.float32)
+    dyp[..., :ow] = np.moveaxis(dy, -4, -2)
+    rows = (conv.weight.reshape(conv.out_maps, -1).T @ dyp.reshape(*ranks, conv.out_maps, n)
+            ).reshape(*ranks, c, k, k, n)
+    dx = np.zeros((*ranks, c, h * b * w), dtype=np.float32)
     for r in range(k):
         for q in range(k):
-            dx[..., r * w + q:r * w + n] += np.swapaxes(rows[..., r, q, :, :n - q], -3, -2)
-    return dx.reshape(x_shape)
+            dx[..., r * b * w + q:r * b * w + n] += rows[..., r, q, :n - q]
+    return np.moveaxis(dx.reshape(*ranks, c, h, b, w), -2, -4)
 
 
 # (in maps, out maps): 25 in maps make 625 product rows, whose 1-row tail joins
@@ -604,31 +697,16 @@ def test_col2im_blocks_keep_the_bits_of_one_product(c, out_maps, one_blas_thread
     check_col2im_blocks(c, out_maps)
 
 
-@pytest.mark.parametrize("kernel, flag", [("Haswell", "avx2"), ("Sandybridge", "avx")])
+@pytest.mark.parametrize("kernel, flag", forced_kernel.KERNELS)
 def test_col2im_blocks_keep_the_bits_of_one_product_under_a_forced_kernel(kernel, flag):
     # OpenBLAS rounds a 1-row product (a matrix-vector product) otherwise on
     # these kernels, and 40- or 25-row blocks too; the host's own kernel runs
     # in-process above
-    try:
-        flags = {word for line in Path("/proc/cpuinfo").read_text().splitlines()
-                 if line.startswith("flags") for word in line.split()}
-    except OSError:
-        flags = set()
-    if flag not in flags:
-        pytest.skip(f"/proc/cpuinfo lists no {flag}, which OpenBLAS's {kernel} kernel needs")
-    if openblas_kernel()[1] == "unknown":
-        pytest.skip("numpy's BLAS is not the scipy-openblas build, so no kernel can be forced")
-    tests = Path(__file__).resolve().parent
-    path = os.pathsep.join(str(p) for p in (tests.parent / "src", tests.parent / "scripts", tests))
     code = ("from metrics_digests import openblas_kernel; import test_nn\n"
             "print(openblas_kernel()[1])\n"
             "for case in test_nn.COL2IM_BLOCK_CASES:\n"
             "    test_nn.check_col2im_blocks(*case)\n")
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [kernel]
+    assert forced_kernel.run_under(kernel, flag, ["-c", code]) == [kernel]
 
 
 # ------------------------------------------------------------- rank axis
