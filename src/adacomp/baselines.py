@@ -56,11 +56,10 @@ class DensePacked:
 
 def _sign_means(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(side, means): side is 1 (uint8) where a value is >= 0.0, -0.0 too, else
-    0, NaN too; means[s] is side s's float64 sum in index order (np.add.at)
-    from +0.0 over max(count, 1), rounded once to the transmitted float32."""
+    0, NaN too; means[s] is side s's float64 sum in index order (np.bincount's
+    weights) from +0.0 over max(count, 1), rounded once to the transmitted float32."""
     side = (values >= 0.0).view(np.uint8)
-    sums = np.zeros(2)
-    np.add.at(sums, side, values)
+    sums = np.bincount(side, weights=values, minlength=2)
     return side, (sums / np.maximum(np.bincount(side, minlength=2), 1)).astype(np.float32)
 
 
@@ -119,8 +118,8 @@ def _top_k_indices(mag: np.ndarray, k: int) -> np.ndarray:
     four. The entries at or above the bracket hold every entry of the
     selection whenever there are at least k of them, and then only they
     are partitioned. NaN never passes the bracket. With fewer than k
-    candidates the whole layer is partitioned instead; both give the same
-    indices.
+    candidates the whole layer is partitioned instead, its NaN read as -1.0
+    below every magnitude; both give the same indices.
     """
     sample = mag[::TOPK_SAMPLE_STRIDE]
     rank = 2 * -(-k // TOPK_SAMPLE_STRIDE) + 4
@@ -129,19 +128,17 @@ def _top_k_indices(mag: np.ndarray, k: int) -> np.ndarray:
         candidates = (mag >= bracket).nonzero()[0]
         if candidates.size >= k:
             return candidates[_top_k_positions(mag[candidates], k)]
-    return _top_k_positions(mag, k)
+    return _top_k_positions(np.where(np.isnan(mag), -1.0, mag), k)
 
 
 def _top_k_positions(a: np.ndarray, k: int) -> np.ndarray:
-    """Increasing positions of the k largest of the magnitudes ``a``, ties to
-    the lowest position and NaN last, found in linear time: all entries
-    above the k-th largest, then the lowest-position entries equal to it."""
-    key = np.negative(a)
-    key[np.isnan(key)] = np.inf
-    threshold = np.partition(key, k - 1)[k - 1]
-    selected = key <= threshold
+    """Increasing positions of the k largest of the NaN-free ``a``, ties to
+    the lowest position, found in linear time: all entries above the k-th
+    largest, then the lowest-position entries equal to it."""
+    threshold = np.partition(a, a.size - k)[a.size - k]
+    selected = a >= threshold
     if np.count_nonzero(selected) > k:  # ties at the k-th: keep the lowest
-        selected[(key == threshold).nonzero()[0][k - np.count_nonzero(key < threshold):]] = False
+        selected[(a == threshold).nonzero()[0][k - np.count_nonzero(a > threshold):]] = False
     return selected.nonzero()[0]
 
 

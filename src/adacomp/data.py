@@ -112,15 +112,18 @@ def synth_digits(n: int, seed: int, noise: float = 0.35, shift: int = 2,
     if shift:
         dy = rng.integers(-shift, shift, size=n, endpoint=True)
         dx = rng.integers(-shift, shift, size=n, endpoint=True)
-    # np.roll's rule: pixel i of a shifted image is pixel (i - shift) mod 28
-    rows = (np.arange(28) - dy[:, None]) % 28
-    cols = (np.arange(28) - dx[:, None]) % 28
+    # np.roll's rule: pixel i of a shifted image is pixel (i - shift) mod 28; a table rolls
+    # each prototype once per distinct column shift, and an image gathers 28 rows of it
+    shifts, inverse = np.unique(dx % 28, return_inverse=True)
+    cols = (np.arange(28) - shifts[:, None, None]) % 28
+    rolled = protos[:, np.arange(28)[:, None], cols].reshape(-1, 28, 28)
+    key = labels * shifts.size + inverse
     # (image + noise * normals) * 255 in the normals' buffer (IEEE + and * commute),
     # drawn whole (ROADMAP: mmap threshold); the prototypes add 256 images a gather
     z = rng.standard_normal((n, 28, 28))
     z *= noise
     for i in (slice(a, a + 256) for a in range(0, n, 256)):
-        z[i] += protos[labels[i, None, None], rows[i, :, None], cols[i, None, :]]
+        z[i] += rolled[key[i, None], (np.arange(28) - dy[i, None]) % 28]
     z *= 255.0
     x = np.clip(z, 0, 255, out=z).astype(np.uint8) / np.float32(255.0)
     return Dataset(x.reshape(n, 1, 28, 28), labels, split, num_classes=10)

@@ -121,6 +121,8 @@ DIGIT_DRAWS = [
     *({"n": n, "seed": seed, "shift": shift, "noise": noise}
       for n, seed in ((1, 3), (97, 11)) for shift in (0, 1, 2, 30) for noise in (0.0, 0.35)),
     {"n": 300, "seed": 7, "split": "test", "task_seed": 123},
+    # 27 distinct column shifts; dx = -14 and +14 share one table entry
+    *({"n": 2048, "seed": 7, "shift": shift} for shift in (13, 14)),
 ]
 
 
@@ -135,10 +137,11 @@ def test_digits_match_roll_reference_bitwise(kwargs):
 
 def test_digits_heap_peak_of_a_cnn_training_set():
     # the per-image np.roll loop and its float64 temporaries peaked at 37.5 MiB,
-    # one prototype gather of all 2,048 images at 25.7 MiB; gathers of 256
-    # images peak at 20.9 MiB, the normals' buffer and the uint8 and float32
-    # images alive together. The first call also allocates numpy's one-off
-    # caches, so warm up first
+    # one prototype gather of all 2,048 images at 25.7 MiB, gathers of 256
+    # images with whole (n, 28) row and column index arrays at 20.9 MiB; rows
+    # of a column-rolled prototype table peak at 20.4 MiB, the normals' buffer
+    # and the uint8 and float32 images alive together. The first call also
+    # allocates numpy's one-off caches, so warm up first
     synth_digits(1, 7)
     tracemalloc.start()
     try:

@@ -158,10 +158,16 @@ def test_stacked_convs_match_finite_differences():
 
 
 def test_softmax_head_matches_finite_differences():
+    # the differences run on a float64 copy of the layer and input, which the
+    # fc layer and the head carry through: a float32 loss near 1.4 has an ulp
+    # near 1.2e-7, so a float32 central difference at eps=1e-3 errs by about
+    # 1e-4, a few % of the smallest gradient entries, and which of them pass
+    # follows the BLAS kernel's rounding
     rng = np.random.default_rng(23)
     fc = FullyConnected(4, 4, rng)
+    fc.weight, fc.bias = fc.weight.astype(np.float64), fc.bias.astype(np.float64)
     model = Model([fc], classes=4)
-    x = rng.uniform(0.5, 1.5, (4, 4)).astype(np.float32)
+    x = rng.uniform(0.5, 1.5, (4, 4)).astype(np.float32).astype(np.float64)
     y = np.array([3, 2, 1, 0])
     check_against_fd(model, x, y)
 
