@@ -1,16 +1,10 @@
 """CSV metric emission with a fixed, reproducible column set.
 
 metrics.csv carries one `step` row per sync step and one `epoch` row per
-epoch-end evaluation. Per-layer columns are suffixed with the layer name
-(conv0, fc1, ...) in model order:
-
-  kind, step, epoch, train_loss, test_error,
-  payload_bits_<layer>..., rate_<layer>..., sel_mean_<layer>...,
-  sel_max_<layer>..., rg_p95_<layer>...
-
-Step rows leave test_error empty; epoch rows leave payload/rate/selection
-empty and snapshot rg_p95. Identical configs and seeds reproduce the file
-byte for byte.
+epoch-end evaluation. Its columns are kind, step, epoch, train_loss and
+test_error, then each group of GROUPS with one column per layer, named
+<prefix>_<layer> (rate_conv0, ...) in model order. Step rows leave test_error
+empty. Identical configs and seeds reproduce the file byte for byte.
 """
 
 from __future__ import annotations
@@ -33,28 +27,30 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
+# metrics.csv's per-layer column groups in order: (column prefix, the
+# StepMetrics field it reads, whether epoch rows repeat it or leave it empty)
+GROUPS = (("payload_bits", "payload_bits", False), ("rate", "rates", False),
+          ("sel_mean", "sel_mean", False), ("sel_max", "sel_max", False), ("rg_p95", "rg_p95", True))
+
+
 class MetricsWriter:
     def __init__(self, path, layer_names: list[str]):
         self.layer_names = list(layer_names)
         self._fh = open(path, "w", newline="")
         self._writer = csv.writer(self._fh)
-        header = ["kind", "step", "epoch", "train_loss", "test_error"]
-        for group in ("payload_bits", "rate", "sel_mean", "sel_max", "rg_p95"):
-            header += [f"{group}_{name}" for name in self.layer_names]
-        self._writer.writerow(header)
+        self._writer.writerow(["kind", "step", "epoch", "train_loss", "test_error"]
+                              + [f"{prefix}_{name}" for prefix, _, _ in GROUPS for name in self.layer_names])
 
     def write_step(self, m: StepMetrics) -> None:
-        row = ["step", fmt(m.step), fmt(m.epoch), fmt(m.train_loss), ""]
-        for group in (m.payload_bits, m.rates, m.sel_mean, m.sel_max, m.rg_p95):
-            row += [fmt(v) for v in group]
-        self._writer.writerow(row)
+        self._writer.writerow(["step", fmt(m.step), fmt(m.epoch), fmt(m.train_loss), ""]
+                              + [fmt(v) for _, field, _ in GROUPS for v in getattr(m, field)])
 
     def write_epoch(self, step: int, epoch: int, train_loss: float,
                     test_error: float, rg_p95: list[float]) -> None:
-        blank = [""] * len(self.layer_names)
-        row = (["epoch", fmt(step), fmt(epoch), fmt(train_loss), fmt(test_error)]
-               + blank * 4 + [fmt(v) for v in rg_p95])
-        self._writer.writerow(row)
+        repeated, blank = {"rg_p95": rg_p95}, [None] * len(self.layer_names)
+        self._writer.writerow(["epoch", fmt(step), fmt(epoch), fmt(train_loss), fmt(test_error)]
+                              + [fmt(v) for _, field, again in GROUPS
+                                 for v in (repeated[field] if again else blank)])
 
     def close(self) -> None:
         if not self._fh.closed:

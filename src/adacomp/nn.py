@@ -32,15 +32,8 @@ this. im2col copies whole kernel rows, each run of k floats one void item
 in the same C order, so the matrix, its products and dW keep every bit. The
 conv bias adds over (b*oh, ow*out_maps) rows, the same float adds as over
 out_maps.
-``Model.predict`` runs the layers below the fc head in slices of at least
-128 samples and keeps the bits of one whole-batch pass: ReLU and pool work
-element by element, and each conv output row is the product of its own im2col
-row, computed alike whatever the number of rows at these sizes. On OpenBLAS
-0.3.31's SkylakeX kernel (not Haswell's), at any thread count, a product rounds
-otherwise only with one output column, or with at most 1,200 outputs when
-K >= 50; a 128-sample slice gives a conv at least 512 rows, so convs of 3 or
-more maps are clear of both. An fc product has one row per sample, so fc
-576->8 or 784->8 on 128 samples rounds otherwise: the fc head runs unsliced.
+``Model.predict`` runs the whole model on fixed slices of PREDICT_SLICE
+samples, so its bits need no kernel to round alike across row counts.
 
 A model takes N ranks stacked on a leading axis, (N, b, ...) with (N, b)
 labels, one rank being N = 1; it returns N losses and, per parameterized
@@ -57,8 +50,8 @@ import numpy as np
 # what Model.backward needs of one batch: (per-layer caches, probs, labels)
 ForwardCache = tuple[list, np.ndarray, np.ndarray]
 
-# samples per slice of Model.predict below the fc head: conv0's im2col for 128
-# 28x28 images is 7.4 MB, against 29 MB for a 512-sample test batch
+# samples per slice of Model.predict: conv0's im2col for 128 28x28 images is
+# 7.4 MB, against 29 MB for a 512-sample test batch
 PREDICT_SLICE = 128
 
 
@@ -291,24 +284,12 @@ class Model:
         return rows[::-1]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class of each sample of one (b, ...) batch, run as a stack of one
-        rank; no layer's cache is kept. The layers below the first fc layer
-        run in slices of PREDICT_SLICE samples, the last slice taking the
-        remainder too (128 to 255 samples), which bounds their im2col
-        matrices; the fc head then runs once on the whole batch. The logits
-        keep every bit of one unsliced pass (module docstring). A model whose
-        first layer is fc, or with a conv of fewer than 3 output maps, runs
-        unsliced."""
-        x = x[None]
-        head = next((i for i, l in enumerate(self.layers) if l.kind == "fc"), 0)
-        if any(l.kind == "conv" and l.out_maps < 3 for l in self.layers[:head]):
-            head = 0
-        if head:
-            n = x.shape[1]
-            ends = [*range(PREDICT_SLICE, n - PREDICT_SLICE + 1, PREDICT_SLICE), n]
-            x = np.concatenate([_run(self.layers[:head], x[:, a:e])
-                                for a, e in zip([0, *ends], ends)], axis=1)
-        return _run(self.layers[head:], x).argmax(axis=-1)[0]
+        """Class of each sample of one (b, ...) batch: the argmax of the
+        logits of the whole model, run as a stack of one rank on slices of
+        PREDICT_SLICE samples, the last slice taking what is left; no
+        layer's cache is kept."""
+        return np.concatenate([_run(self.layers, x[None, a:a + PREDICT_SLICE]).argmax(axis=-1)[0]
+                               for a in range(0, len(x), PREDICT_SLICE)])
 
 
 def _run(layers: list, x: np.ndarray) -> np.ndarray:

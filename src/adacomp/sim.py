@@ -252,7 +252,8 @@ class Cluster:
         return np.abs(self.residues[layer_index]).reshape(-1)
 
     def evaluate(self, test: Dataset) -> float:
-        """Test error rate of the model, in one ``Model.predict`` call, which slices the batch."""
+        """Test error rate of the model, in one ``Model.predict`` call: the
+        whole model on fixed slices of the test set."""
         return int((self.model.predict(test.features) != test.labels).sum()) / len(test)
 
     def weights_identical(self) -> bool:

@@ -768,7 +768,7 @@ def _repo_models():
             (build_cnn(1, [2, 3], 8, 4, seed=5, image_hw=(16, 16)), (1, 16, 16)),
             (build_cnn(1, [4, 6], 12, 5, seed=3, image_hw=(16, 16)), (1, 16, 16)),
             (relu_first, (2, 9, 9)),
-            # convs of one and two maps, which predict leaves unsliced
+            # convs of one and two output maps
             (build_cnn(1, [4, 1], 8, 10, seed=7, image_hw=(16, 16)), (1, 16, 16)),
             (build_cnn(1, [4, 2], 8, 10, seed=7, image_hw=(16, 16)), (1, 16, 16)),
             (build_mlp(784, [8], 10, seed=7), (784,)),
@@ -777,44 +777,53 @@ def _repo_models():
             (build_mlp(12, [], 3, seed=0), (12,))]
 
 
-@pytest.mark.parametrize("b", [512, 300, 129])
-@pytest.mark.parametrize("model, shape", _repo_models(), ids=[
-    "cnn_8_16", "mlp_64_256_256", "cnn_4_8", "cnn_4", "cnn_2_3_16px", "cnn_4_6_16px",
-    "relu_first", "cnn_4_1_16px", "cnn_4_2_16px", "mlp_784_8", "mlp_16_8", "mlp_20_32_16", "linear"])
-def test_predict_keeps_the_logits_of_one_unsliced_pass(model, shape, b, monkeypatch):
+REPO_MODEL_IDS = ["cnn_8_16", "mlp_64_256_256", "cnn_4_8", "cnn_4", "cnn_2_3_16px", "cnn_4_6_16px",
+                  "relu_first", "cnn_4_1_16px", "cnn_4_2_16px", "mlp_784_8", "mlp_16_8", "mlp_20_32_16",
+                  "linear"]
+
+# (test batch, the slices predict runs it in)
+PREDICT_SLICES = [(512, [128] * 4), (300, [128, 128, 44]), (129, [128, 1]), (128, [128]), (1, [1])]
+
+
+def check_predict_in_slices(model, shape, b, slices):
+    """Every layer, the first and the last alike, sees the batch in the given
+    slices, and predict's bytes are the argmax of one plain forward of each
+    slice, concatenated."""
     x = np.random.default_rng(b).standard_normal((b, *shape)).astype(np.float32)
-    whole = x[None]
-    for layer in model.layers:
-        whole = layer.forward(whole)[0]
-    seen = []
-    last = model.layers[-1]
-    forward = last.forward
-    monkeypatch.setattr(last, "forward", lambda v: seen.append(forward(v)) or seen[-1])
-    got = model.predict(x)
-    assert len(seen) == 1 and seen[0][0].tobytes() == whole.tobytes()
-    assert got.tobytes() == whole.argmax(axis=-1)[0].tobytes()
+    want = []
+    for a, e in zip(np.cumsum([0, *slices[:-1]]), np.cumsum(slices)):
+        v = x[None, a:e]
+        for layer in model.layers:
+            v = layer.forward(v)[0]
+        want.append(v.argmax(axis=-1)[0])
+    seen = [[] for _ in model.layers]
+    for layer, sizes in zip(model.layers, seen):
+        layer.forward = lambda v, f=layer.forward, sizes=sizes: sizes.append(v.shape[1]) or f(v)
+    try:
+        got = model.predict(x)
+    finally:
+        for layer in model.layers:
+            del layer.forward
+    assert seen == [slices] * len(model.layers)
+    assert got.tobytes() == np.concatenate(want).tobytes()
 
 
-@pytest.mark.parametrize("b, slices", [(512, [128] * 4), (300, [128, 172]), (255, [255]),
-                                       (256, [128, 128]), (1, [1])])
-def test_predict_runs_the_conv_stack_in_slices(b, slices, monkeypatch):
-    model = build_cnn(1, [8, 16], 64, 10, seed=7)
-    seen = []
-    conv, head = model.layers[0], model.layers[-2]
-    for layer in (conv, head):
-        forward = layer.forward
-        monkeypatch.setattr(layer, "forward", lambda v, f=forward: seen.append(v.shape[1]) or f(v))
-    model.predict(np.zeros((b, 1, 28, 28), np.float32))
-    assert seen == [*slices, b]
+@pytest.mark.parametrize("b, slices", PREDICT_SLICES, ids=[str(b) for b, _ in PREDICT_SLICES])
+@pytest.mark.parametrize("model, shape", _repo_models(), ids=REPO_MODEL_IDS)
+def test_predict_runs_the_whole_model_in_fixed_slices(model, shape, b, slices):
+    check_predict_in_slices(model, shape, b, slices)
 
 
-def test_predict_leaves_a_conv_of_two_maps_unsliced(monkeypatch):
-    model = build_cnn(1, [4, 2], 8, 10, seed=7, image_hw=(16, 16))
-    seen = []
-    forward = model.layers[0].forward
-    monkeypatch.setattr(model.layers[0], "forward", lambda v: seen.append(v.shape[1]) or forward(v))
-    model.predict(np.zeros((512, 1, 16, 16), np.float32))
-    assert seen == [512]
+@pytest.mark.parametrize("kernel, flag", forced_kernel.KERNELS)
+def test_predict_runs_the_whole_model_in_fixed_slices_under_a_forced_kernel(kernel, flag):
+    # a prediction is fixed by each slice's own logits, so it holds on every
+    # kernel; the host's own kernel runs in-process above
+    code = ("from metrics_digests import openblas_kernel; import test_nn\n"
+            "print(openblas_kernel()[1])\n"
+            "for model, shape in test_nn._repo_models():\n"
+            "    for b, slices in test_nn.PREDICT_SLICES:\n"
+            "        test_nn.check_predict_in_slices(model, shape, b, slices)\n")
+    assert forced_kernel.run_under(kernel, flag, ["-c", code]) == [kernel]
 
 
 def test_predict_of_512_samples_peaks_below_16_mib():
